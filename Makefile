@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build lint lint-fixtures test race smoke check bench bench-compare ci
+.PHONY: all fmt vet build lint lint-fixtures test race perfbench-test smoke check bench bench-compare ci
 
 all: ci
 
@@ -32,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test vets and tests the nested benchmark module (perfbench/,
+# its own go.mod) against the simulator's current API; ./... at the root
+# does not descend into it. No -race: TestParseCPUProfile fails under
+# the race detector.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # smoke exercises the observability path end to end: a short traced
 # single run, an instrumented sweep, and a live-telemetry run whose
@@ -116,4 +123,4 @@ bench-compare:
 	@$(MAKE) --no-print-directory bench BENCHOUT=bench-new.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt bench-new.txt
 
-ci: fmt vet build lint race smoke
+ci: fmt vet build lint race perfbench-test smoke

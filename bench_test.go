@@ -156,7 +156,7 @@ func BenchmarkFig7aSaturationThroughput(b *testing.B) {
 func BenchmarkFig7bcLatencyCurve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := core.NewSystem("own", 256, wireless.Config4, wireless.Ideal)
-		pts := core.Sweep(sys, traffic.Uniform, core.SweepLoads(256, 3), benchBudget())
+		pts, _ := core.Sweep(sys, traffic.Uniform, core.SweepLoads(256, 3), benchBudget(), nil, false)
 		if len(pts) != 3 {
 			b.Fatal("bad curve")
 		}

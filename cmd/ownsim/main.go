@@ -193,7 +193,7 @@ func main() {
 		defer stop()
 	}
 	// The conformance checker audits protocol invariants through its own
-	// dedicated hooks, so it composes with the probe and flight recorder;
+	// observers, so it composes with the probe and flight recorder;
 	// like them it never perturbs the Result.
 	var ck *check.Checker
 	if *checkFlag {

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"ownsim/internal/check"
 	"ownsim/internal/core"
 	"ownsim/internal/fabric"
 	"ownsim/internal/flightrec"
@@ -140,19 +139,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s load=%.5f latency=%.1f thr=%.5f sat=%v (%.1fs)\n",
 				done, total, name, p.Load, p.Latency, p.Throughput, p.Saturated, time.Since(start).Seconds())
 		}
-		var pts []stats.CurvePoint
-		if *checkFlag {
-			// Checked sweep: same curve (the checker is inert), plus every
-			// invariant violation across the points, in load order.
-			var vs []check.Violation
-			pts, vs = core.CheckedSweep(sys, pat, loads, b, onPoint)
-			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "sweep: INVARIANT VIOLATION [%s]: %s\n", name, v)
-			}
-			violations += len(vs)
-		} else {
-			pts = core.SweepWithProgress(sys, pat, loads, b, onPoint)
+		// A checked sweep yields the same curve (the checker is inert),
+		// plus every invariant violation across the points, in load order.
+		pts, vs := core.Sweep(sys, pat, loads, b, onPoint, *checkFlag)
+		for _, v := range vs {
+			fmt.Fprintf(os.Stderr, "sweep: INVARIANT VIOLATION [%s]: %s\n", name, v)
 		}
+		violations += len(vs)
 		series := plot.Series{Name: name}
 		for i, p := range pts {
 			fmt.Printf("%s,%s,%.6f,%.2f,%.6f,%v\n", name, pat, p.Load, p.Latency, p.Throughput, p.Saturated)
@@ -188,7 +181,7 @@ func main() {
 		if instrumented {
 			// The flight recorder backs the fairness/dump artifacts and the
 			// /debug/dump endpoint; install before the probe so the probe
-			// hooks feed its stall tracker.
+			// installer attaches its stall feed.
 			flightrecOn := *fairness != "" || *dumpOnExit != "" || *listen != ""
 			var fr *flightrec.FlightRecorder
 			if flightrecOn {

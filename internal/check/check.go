@@ -3,11 +3,12 @@
 // plus the event-log types behind the differential reference oracle
 // (fabric.DiffRuns).
 //
-// The Checker observes the network through dedicated nil-safe hooks on
-// sources, sinks, routers, shared channels and packet pools — the same
-// pattern as the probe and flight-recorder layers, so an uninstalled
-// checker costs one predictable branch per event site and an installed one
-// never mutates simulation state (a checked run's Result is bit-identical
+// The Checker observes the network through one monitor per source, sink,
+// router and shared channel, plus itself on every packet pool — plain
+// observers on the components' observer lists, like the probe's and the
+// flight recorder's, so an uninstalled checker costs one predictable
+// branch per event site and an installed one never mutates simulation
+// state (a checked run's Result is bit-identical
 // to an unchecked one). The invariant catalog (see DESIGN.md §14):
 //
 //   - conserve: every flit a source launches is delivered exactly once; a
@@ -208,7 +209,7 @@ func (c *Checker) touch(cycle uint64, p *noc.Packet, component string) {
 
 // Recycle audits a packet's return to its pool: a pooled packet whose
 // flits entered the network may only be recycled after full delivery.
-// fabric wires it as every source pool's OnCkRecycle hook.
+// The Checker is every source pool's noc.PoolObserver.
 func (c *Checker) Recycle(p *noc.Packet) {
 	c.events++
 	st, ok := c.pkts[p.ID]
@@ -224,21 +225,57 @@ func (c *Checker) Recycle(p *noc.Packet) {
 	c.drop(p.ID)
 }
 
-// SourceMonitor audits one traffic source's injection stream.
-type SourceMonitor struct {
+// Monitor audits one component's event stream: a source's launches, a
+// sink's deliveries, a router's pipeline decisions, or a shared
+// channel's token arbitration and deliveries. It implements every
+// component observer interface (router.SourceObserver, SinkObserver,
+// RouterObserver, sbus.Observer); each component fires only its own
+// events, and the rest are no-ops.
+type Monitor struct {
 	c    *Checker
+	id   int
 	name string
+
+	// Routers: the routing table re-evaluated at every route
+	// computation, and the path-length bound (0 = none).
+	route    router.RouteFunc
+	diameter int
+	// Routers and channels: each in-flight packet's next expected Seq.
+	nextSeq map[uint64]int
+	// Channels: the current token holder.
+	held         bool
+	lockedPkt    uint64
+	lockedWriter int
 }
 
-// NewSourceMonitor returns the monitor for core coreID's source; fabric
-// wires its Flit method as the source's OnCkFlit hook.
-func (c *Checker) NewSourceMonitor(coreID int) *SourceMonitor {
-	return &SourceMonitor{c: c, name: fmt.Sprintf("source %d", coreID)}
+// NewSourceMonitor returns the monitor for core coreID's source.
+func (c *Checker) NewSourceMonitor(coreID int) *Monitor {
+	return &Monitor{c: c, name: fmt.Sprintf("source %d", coreID)}
 }
 
-// Flit audits one injected flit: it must extend the packet's launch
-// ledger in Seq order.
-func (m *SourceMonitor) Flit(cycle uint64, f *noc.Flit) {
+// NewSinkMonitor returns the monitor for core coreID's sink.
+func (c *Checker) NewSinkMonitor(coreID int) *Monitor {
+	return &Monitor{c: c, name: fmt.Sprintf("sink %d", coreID)}
+}
+
+// NewRouterMonitor returns the monitor for router id. route is the
+// topology's routing table for that router (re-evaluated to audit the
+// pipeline's decisions; routing in this repository is deterministic, so a
+// second evaluation is side-effect free); diameter > 0 bounds path
+// lengths.
+func (c *Checker) NewRouterMonitor(id int, route router.RouteFunc, diameter int) *Monitor {
+	return &Monitor{c: c, id: id, name: fmt.Sprintf("router %d", id), route: route, diameter: diameter,
+		nextSeq: make(map[uint64]int)}
+}
+
+// NewChannelMonitor returns the monitor for the named shared channel.
+func (c *Checker) NewChannelMonitor(name string) *Monitor {
+	return &Monitor{c: c, name: name, lockedWriter: -1, nextSeq: make(map[uint64]int)}
+}
+
+// Send audits one flit a source injects: it must extend the packet's
+// launch ledger in Seq order.
+func (m *Monitor) Send(cycle uint64, f *noc.Flit) {
 	c := m.c
 	c.events++
 	st := c.state(f.Pkt)
@@ -251,22 +288,10 @@ func (m *SourceMonitor) Flit(cycle uint64, f *noc.Flit) {
 	c.touch(cycle, f.Pkt, m.name)
 }
 
-// SinkMonitor audits one ejection sink's delivery stream.
-type SinkMonitor struct {
-	c    *Checker
-	core int
-	name string
-}
-
-// NewSinkMonitor returns the monitor for core coreID's sink; fabric wires
-// its Flit method as the sink's OnCkFlit hook.
-func (c *Checker) NewSinkMonitor(coreID int) *SinkMonitor {
-	return &SinkMonitor{c: c, core: coreID, name: fmt.Sprintf("sink %d", coreID)}
-}
-
-// Flit audits one delivered flit; the tail closes the conservation ledger
-// (launched == delivered == NumFlits) and the packet's timestamp chain.
-func (m *SinkMonitor) Flit(cycle uint64, f *noc.Flit) {
+// Receive audits one flit a sink delivers; the tail closes the
+// conservation ledger (launched == delivered == NumFlits) and the
+// packet's timestamp chain.
+func (m *Monitor) Receive(cycle uint64, f *noc.Flit) {
 	c := m.c
 	c.events++
 	p := f.Pkt
@@ -293,37 +318,10 @@ func (m *SinkMonitor) Flit(cycle uint64, f *noc.Flit) {
 	c.drop(p.ID)
 }
 
-// RouterMonitor audits one router's pipeline decisions.
-type RouterMonitor struct {
-	c        *Checker
-	id       int
-	route    router.RouteFunc
-	diameter int
-	name     string
-	nextSeq  map[uint64]int
-}
-
-// NewRouterMonitor returns the monitor for router id. route is the
-// topology's routing table for that router (re-evaluated to audit the
-// pipeline's decisions; routing in this repository is deterministic, so a
-// second evaluation is side-effect free); diameter > 0 bounds path
-// lengths. fabric wires the Route and Flit methods as the router's
-// OnCkRoute/OnCkFlit hooks.
-func (c *Checker) NewRouterMonitor(id int, route router.RouteFunc, diameter int) *RouterMonitor {
-	return &RouterMonitor{
-		c:        c,
-		id:       id,
-		route:    route,
-		diameter: diameter,
-		name:     fmt.Sprintf("router %d", id),
-		nextSeq:  make(map[uint64]int),
-	}
-}
-
 // Route audits one route computation: the pipeline's decision must match
 // a fresh evaluation of the routing table, the packet must not revisit a
 // router, and its path must respect the diameter bound.
-func (m *RouterMonitor) Route(cycle uint64, p *noc.Packet, inPort, outPort int, vcMask uint32) {
+func (m *Monitor) Route(cycle uint64, p *noc.Packet, inPort, outPort int, vcMask uint32) {
 	c := m.c
 	c.events++
 	if m.route != nil {
@@ -350,49 +348,21 @@ func (m *RouterMonitor) Route(cycle uint64, p *noc.Packet, inPort, outPort int, 
 	c.touch(cycle, p, m.name)
 }
 
-// Flit audits one switch-allocation grant: a packet's flits cross the
+// Switch audits one switch-allocation grant: a packet's flits cross the
 // router in strictly ascending Seq order (per-VC FIFO through the
 // wormhole pipeline).
-func (m *RouterMonitor) Flit(cycle uint64, f *noc.Flit, inPort, outPort, outVC int) {
-	c := m.c
-	c.events++
-	pid := f.Pkt.ID
-	if want := m.nextSeq[pid]; f.Seq != want {
-		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
+func (m *Monitor) Switch(cycle uint64, f *noc.Flit, inPort, outPort, outVC int) {
+	if want, ok := m.inOrder(f); !ok {
+		m.c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
 			Detail: fmt.Sprintf("pkt %d crossed switch with flit seq %d, want %d (in %d -> out %d vc %d)",
-				pid, f.Seq, want, inPort, outPort, outVC)})
+				f.Pkt.ID, f.Seq, want, inPort, outPort, outVC)})
 	}
-	if f.IsTail() {
-		delete(m.nextSeq, pid)
-	} else {
-		m.nextSeq[pid] = f.Seq + 1
-	}
-	c.touch(cycle, f.Pkt, m.name)
-}
-
-// ChannelMonitor audits one shared channel's token arbitration and
-// delivery stream.
-type ChannelMonitor struct {
-	c    *Checker
-	name string
-
-	held         bool
-	lockedPkt    uint64
-	lockedWriter int
-	nextSeq      map[uint64]int
-}
-
-// NewChannelMonitor returns the monitor for the named shared channel;
-// fabric wires its Acquire/Release/Deliver methods as the channel's
-// OnCkAcquire/OnCkRelease/OnCkDeliver hooks.
-func (c *Checker) NewChannelMonitor(name string) *ChannelMonitor {
-	return &ChannelMonitor{c: c, name: name, lockedWriter: -1, nextSeq: make(map[uint64]int)}
+	m.c.touch(cycle, f.Pkt, m.name)
 }
 
 // Acquire audits one token grant: the medium must be free (single token
-// holder per MWSR waveguide / SWMR group), and the granted packet's front
-// must be a head.
-func (m *ChannelMonitor) Acquire(cycle uint64, p *noc.Packet, writer, rx int) {
+// holder per MWSR waveguide / SWMR group).
+func (m *Monitor) Acquire(cycle uint64, p *noc.Packet, writer, rx, tokenCostCy int) {
 	c := m.c
 	c.events++
 	if m.held {
@@ -408,7 +378,7 @@ func (m *ChannelMonitor) Acquire(cycle uint64, p *noc.Packet, writer, rx int) {
 
 // Release audits one lock release: only the current holder may release,
 // and only for the packet it was granted for.
-func (m *ChannelMonitor) Release(cycle uint64, p *noc.Packet, writer int) {
+func (m *Monitor) Release(cycle uint64, p *noc.Packet, writer int) {
 	c := m.c
 	c.events++
 	switch {
@@ -424,21 +394,37 @@ func (m *ChannelMonitor) Release(cycle uint64, p *noc.Packet, writer int) {
 	c.touch(cycle, p, m.name)
 }
 
-// Deliver audits one flit landing at a receiver: whole-packet locking
-// plus constant propagation make per-channel deliveries arrive in Seq
-// order per packet.
-func (m *ChannelMonitor) Deliver(cycle uint64, f *noc.Flit, rx int) {
-	c := m.c
-	c.events++
-	pid := f.Pkt.ID
-	if want := m.nextSeq[pid]; f.Seq != want {
-		c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
-			Detail: fmt.Sprintf("pkt %d delivered flit seq %d to rx %d, want %d", pid, f.Seq, rx, want)})
+// Deliver audits one flit landing at a channel receiver: whole-packet
+// locking plus constant propagation make per-channel deliveries arrive
+// in Seq order per packet.
+func (m *Monitor) Deliver(cycle uint64, f *noc.Flit, rx int) {
+	if want, ok := m.inOrder(f); !ok {
+		m.c.report(Violation{Cycle: cycle, Rule: RuleFIFO, Component: m.name,
+			Detail: fmt.Sprintf("pkt %d delivered flit seq %d to rx %d, want %d", f.Pkt.ID, f.Seq, rx, want)})
 	}
+	m.c.touch(cycle, f.Pkt, m.name)
+}
+
+// inOrder counts one audited flit event and advances the flit's packet
+// along this component's FIFO ledger, reporting the Seq it expected and
+// whether f matched it.
+func (m *Monitor) inOrder(f *noc.Flit) (want int, ok bool) {
+	m.c.events++
+	pid := f.Pkt.ID
+	want = m.nextSeq[pid]
 	if f.IsTail() {
 		delete(m.nextSeq, pid)
 	} else {
 		m.nextSeq[pid] = f.Seq + 1
 	}
-	c.touch(cycle, f.Pkt, m.name)
+	return want, f.Seq == want
 }
+
+// Enqueue, Inject, Eject, VCAlloc and Transmit complete the observer
+// interfaces: conservation is audited per flit, VC ownership by the
+// structural sweep, and channel order at Deliver.
+func (*Monitor) Enqueue(uint64, *noc.Packet)           {}
+func (*Monitor) Inject(uint64, *noc.Packet)            {}
+func (*Monitor) Eject(uint64, *noc.Packet)             {}
+func (*Monitor) VCAlloc(uint64, *noc.Packet, int, int) {}
+func (*Monitor) Transmit(uint64, *noc.Flit, int)       {}

@@ -29,13 +29,13 @@ func TestConformanceUnitLifecycleClean(t *testing.T) {
 	p, fl := mkpkt(7, 3)
 	p.CreatedAt, p.InjectedAt = 10, 12
 	for _, f := range fl {
-		src.Flit(12+uint64(f.Seq), f)
+		src.Send(12+uint64(f.Seq), f)
 	}
 	for _, f := range fl {
-		rt.Flit(14+uint64(f.Seq), f, 0, 1, 0)
+		rt.Switch(14+uint64(f.Seq), f, 0, 1, 0)
 	}
 	for _, f := range fl {
-		snk.Flit(20+uint64(f.Seq), f)
+		snk.Receive(20+uint64(f.Seq), f)
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("clean lifecycle reported: %v", err)
@@ -52,7 +52,7 @@ func TestConformanceUnitSourceOutOfOrder(t *testing.T) {
 	c := New()
 	src := c.NewSourceMonitor(0)
 	_, fl := mkpkt(1, 3)
-	src.Flit(5, fl[1]) // seq 1 before seq 0
+	src.Send(5, fl[1]) // seq 1 before seq 0
 	if c.Total() == 0 || rules(c)[RuleConserve] == 0 {
 		t.Fatalf("out-of-order launch not flagged: %v", c.Violations())
 	}
@@ -62,7 +62,7 @@ func TestConformanceUnitSinkOutOfOrder(t *testing.T) {
 	c := New()
 	snk := c.NewSinkMonitor(0)
 	_, fl := mkpkt(1, 3)
-	snk.Flit(5, fl[1])
+	snk.Receive(5, fl[1])
 	if rules(c)[RuleFIFO] == 0 {
 		t.Fatalf("out-of-order delivery not flagged: %v", c.Violations())
 	}
@@ -75,11 +75,11 @@ func TestConformanceUnitTailConservation(t *testing.T) {
 	p, fl := mkpkt(2, 3)
 	p.CreatedAt, p.InjectedAt = 1, 2
 	for _, f := range fl {
-		src.Flit(3+uint64(f.Seq), f)
+		src.Send(3+uint64(f.Seq), f)
 	}
 	// Deliver head then tail, losing the body flit.
-	snk.Flit(9, fl[0])
-	snk.Flit(10, fl[2])
+	snk.Receive(9, fl[0])
+	snk.Receive(10, fl[2])
 	if rules(c)[RuleConserve] == 0 {
 		t.Fatalf("lost flit not flagged at tail: %v", c.Violations())
 	}
@@ -93,7 +93,7 @@ func TestConformanceUnitSinkTimestamps(t *testing.T) {
 	snk := c.NewSinkMonitor(0)
 	p, fl := mkpkt(3, 1)
 	p.CreatedAt, p.InjectedAt = 50, 20 // injected before created
-	snk.Flit(60, fl[0])
+	snk.Receive(60, fl[0])
 	if rules(c)[RuleTime] == 0 {
 		t.Fatalf("inverted timestamp chain not flagged: %v", c.Violations())
 	}
@@ -103,7 +103,7 @@ func TestConformanceUnitTimestampRegression(t *testing.T) {
 	c := New()
 	rt := c.NewRouterMonitor(0, nil, 0)
 	p, fl := mkpkt(4, 1)
-	rt.Flit(100, fl[0], 0, 1, 0)
+	rt.Switch(100, fl[0], 0, 1, 0)
 	// A later event for the same packet carrying an earlier cycle.
 	c.touch(90, p, "router 0")
 	if rules(c)[RuleTime] == 0 {
@@ -115,7 +115,7 @@ func TestConformanceUnitRecycleMidFlight(t *testing.T) {
 	c := New()
 	src := c.NewSourceMonitor(5)
 	p, fl := mkpkt(9, 3)
-	src.Flit(2, fl[0])
+	src.Send(2, fl[0])
 	c.Recycle(p)
 	if rules(c)[RuleConserve] == 0 {
 		t.Fatalf("mid-flight recycle not flagged: %v", c.Violations())
@@ -137,8 +137,8 @@ func TestConformanceUnitTokenDoubleGrant(t *testing.T) {
 	m := c.NewChannelMonitor("photonic.t/home0.0")
 	a, _ := mkpkt(1, 2)
 	b, _ := mkpkt(2, 2)
-	m.Acquire(10, a, 3, 0)
-	m.Acquire(11, b, 5, 1)
+	m.Acquire(10, a, 3, 0, 0)
+	m.Acquire(11, b, 5, 1, 0)
 	if rules(c)[RuleToken] == 0 {
 		t.Fatalf("double grant not flagged: %v", c.Violations())
 	}
@@ -158,14 +158,14 @@ func TestConformanceUnitTokenReleaseMismatch(t *testing.T) {
 		t.Fatalf("free-release not flagged: %v", c.Violations())
 	}
 	// Release by the wrong writer.
-	m.Acquire(6, a, 2, 0)
+	m.Acquire(6, a, 2, 0, 0)
 	m.Release(7, a, 4)
 	if rules(c)[RuleToken] != 2 {
 		t.Fatalf("wrong-writer release not flagged: %v", c.Violations())
 	}
 	// Clean grant/release pair after the breaches.
 	b, _ := mkpkt(2, 2)
-	m.Acquire(8, b, 1, 0)
+	m.Acquire(8, b, 1, 0, 0)
 	m.Release(9, b, 1)
 	if c.Total() != 2 {
 		t.Fatalf("clean pair flagged: %v", c.Violations())
@@ -283,7 +283,7 @@ func TestConformanceUnitCompareLogs(t *testing.T) {
 func TestConformanceUnitDeliveryLogRecord(t *testing.T) {
 	l := &DeliveryLog{}
 	p := &noc.Packet{ID: 5, Src: 1, Dst: 2, NumFlits: 3, CreatedAt: 10, InjectedAt: 12, Hops: 4}
-	l.Record(p, 30)
+	l.Eject(30, p)
 	if len(l.Events) != 1 {
 		t.Fatal("event not recorded")
 	}
@@ -305,17 +305,17 @@ func TestConformanceUnitLedgerReuse(t *testing.T) {
 	snk := c.NewSinkMonitor(0)
 	p, fl := mkpkt(1, 1)
 	p.CreatedAt, p.InjectedAt = 1, 2
-	src.Flit(3, fl[0])
+	src.Send(3, fl[0])
 	rt.Route(5, p, 0, 1, 1)
-	snk.Flit(9, fl[0])
+	snk.Receive(9, fl[0])
 	if c.LiveStates() != 0 {
 		t.Fatal("ledger not closed")
 	}
 	q, qf := mkpkt(2, 1)
 	q.CreatedAt, q.InjectedAt = 10, 11
-	src.Flit(12, qf[0])
+	src.Send(12, qf[0])
 	rt.Route(15, q, 0, 1, 1) // reused visited slice must not contain router 1 already
-	snk.Flit(19, qf[0])
+	snk.Receive(19, qf[0])
 	if err := c.Err(); err != nil {
 		t.Fatalf("reused ledger carried stale state: %v", err)
 	}

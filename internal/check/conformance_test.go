@@ -20,6 +20,7 @@ import (
 	"ownsim/internal/noc"
 	"ownsim/internal/photonic"
 	"ownsim/internal/power"
+	"ownsim/internal/probe"
 	"ownsim/internal/router"
 	"ownsim/internal/sbus"
 	"ownsim/internal/traffic"
@@ -169,6 +170,43 @@ func TestConformanceOracleCMesh4x4(t *testing.T) {
 	}
 }
 
+// TestConformanceDeliveryLogComposesWithProbe records a delivery log on
+// the OWN cluster while a flight recorder, a tracing/span probe and the
+// checker observe the same sinks, routers and channels: the log must
+// match a bare run's event for event, and the other observers must still
+// see traffic.
+func TestConformanceDeliveryLogComposesWithProbe(t *testing.T) {
+	ts := fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.05, PktFlits: 3, Seed: 5}
+	rs := fabric.RunSpec{Warmup: 200, Measure: 1200}
+
+	bare := buildOWNCluster16()
+	bareLog := bare.RecordDeliveries()
+	bareRes := bare.Run(ts, rs)
+
+	n := buildOWNCluster16()
+	n.InstallFlightRecorder(flightrec.New(flightrec.Options{}))
+	p := probe.New(probe.Options{TraceEvery: 1, Spans: true})
+	n.InstallProbe(p)
+	c := check.New()
+	n.InstallChecker(c, nil)
+	log := n.RecordDeliveries()
+	res := n.Run(ts, rs)
+
+	if err := check.CompareLogs(log, bareLog); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Events) == 0 || res != bareRes {
+		t.Fatalf("observed run diverged: %d deliveries, result %+v, bare %+v", len(log.Events), res, bareRes)
+	}
+	if p.Tracer().Len() == 0 || p.Spans().Packets() == 0 || c.Events() == 0 || c.Total() != 0 {
+		t.Fatalf("co-installed observers idle or failing: %d trace events, %d spans, %d checker events, %d violations",
+			p.Tracer().Len(), p.Spans().Packets(), c.Events(), c.Total())
+	}
+	if n.FlightRec.Stall.TotalWaitCy() != p.Spans().PhaseCycles(probe.SpanTokenWait) {
+		t.Fatalf("stall feed %d cycles, span token_wait %d", n.FlightRec.Stall.TotalWaitCy(), p.Spans().PhaseCycles(probe.SpanTokenWait))
+	}
+}
+
 // TestConformanceOracleRandomNetworks diffs engine vs reference on the
 // fuzz generator's irregular up*/down* shapes.
 func TestConformanceOracleRandomNetworks(t *testing.T) {
@@ -234,10 +272,9 @@ func TestConformanceCheckedRunsClean(t *testing.T) {
 func TestConformanceCheckedSystems256(t *testing.T) {
 	for _, name := range core.SystemNames() {
 		sys := core.NewSystem(name, 256, wireless.Config4, wireless.Ideal)
-		res, vs := sys.RunChecked(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: 0.004, Seed: 7},
-			fabric.RunSpec{Warmup: 300, Measure: 1200})
-		if !res.Drained {
+		pts, vs := core.Sweep(sys, traffic.Uniform, []float64{0.004},
+			core.Budget{Warmup: 300, Measure: 1200, Seed: 7}, nil, true)
+		if pts[0].Saturated {
 			t.Errorf("%s: checked run failed to drain", name)
 		}
 		for _, v := range vs {
@@ -421,8 +458,8 @@ func TestConformanceCorruptedTokenTripsDump(t *testing.T) {
 	cy := n.Eng.Cycle()
 	a := &noc.Packet{ID: 1 << 50, NumFlits: 2}
 	b := &noc.Packet{ID: 1<<50 + 1, NumFlits: 2}
-	ch.OnCkAcquire(cy, a, 3, 0)
-	ch.OnCkAcquire(cy, b, 5, 0) // duplicate grant
+	ch.Observers[0].Acquire(cy, a, 3, 0, 0)
+	ch.Observers[0].Acquire(cy, b, 5, 0, 0) // duplicate grant
 
 	if c.Total() != 1 {
 		t.Fatalf("duplicate grant produced %d violations, want 1: %v", c.Total(), c.Violations())
@@ -457,15 +494,85 @@ type loopbackRx struct{ rx *sbus.Rx }
 
 func (r *loopbackRx) ReceiveFlit(port int, f *noc.Flit) { r.rx.ReturnCredit(f.VC) }
 
-// TestConformanceDisabledHooksAllocFree pins the nil-hook bargain from
-// the checker's side: with no checker installed (all OnCk* hooks nil) the
-// channel send/tick path allocates nothing in steady state.
+// nopObserver is a do-nothing observer for every component type.
+type nopObserver struct{}
+
+func (nopObserver) Enqueue(uint64, *noc.Packet)                 {}
+func (nopObserver) Inject(uint64, *noc.Packet)                  {}
+func (nopObserver) Send(uint64, *noc.Flit)                      {}
+func (nopObserver) Receive(uint64, *noc.Flit)                   {}
+func (nopObserver) Eject(uint64, *noc.Packet)                   {}
+func (nopObserver) Route(uint64, *noc.Packet, int, int, uint32) {}
+func (nopObserver) VCAlloc(uint64, *noc.Packet, int, int)       {}
+func (nopObserver) Switch(uint64, *noc.Flit, int, int, int)     {}
+func (nopObserver) Acquire(uint64, *noc.Packet, int, int, int)  {}
+func (nopObserver) Release(uint64, *noc.Packet, int)            {}
+func (nopObserver) Transmit(uint64, *noc.Flit, int)             {}
+func (nopObserver) Deliver(uint64, *noc.Flit, int)              {}
+func (nopObserver) Recycle(*noc.Packet)                         {}
+
+// routerLink is a zero-delay conduit into a router input port that
+// hands the router's returned credits straight back to the sender.
+type routerLink struct {
+	r    *router.Router
+	back noc.CreditReceiver
+}
+
+func (l *routerLink) Send(f *noc.Flit)    { l.r.ReceiveFlit(0, f) }
+func (l *routerLink) ReturnCredit(vc int) { l.back.ReceiveCredit(0, vc) }
+
+// sinkLink is a zero-delay conduit into a sink that returns its credits
+// to router output port 1.
+type sinkLink struct {
+	snk *router.Sink
+	r   *router.Router
+}
+
+func (l *sinkLink) Send(f *noc.Flit)    { l.snk.ReceiveFlit(0, f) }
+func (l *sinkLink) ReturnCredit(vc int) { l.r.ReceiveCredit(1, vc) }
+
+// readyGen hands out one pooled packet whenever armed.
+type readyGen struct {
+	pool  *noc.Pool
+	armed bool
+}
+
+func (g *readyGen) UsePool(pl *noc.Pool) { g.pool = pl }
+
+func (g *readyGen) Generate(uint64) *noc.Packet {
+	if !g.armed {
+		return nil
+	}
+	g.armed = false
+	p := g.pool.Get()
+	p.ID, p.Src, p.Dst, p.NumFlits = 1, 0, 1, 2
+	return p
+}
+
+// TestConformanceDisabledHooksAllocFree pins the observer bargain: with
+// no observer installed, and with one no-op observer on every component,
+// the channel send/tick path and the source -> router switch allocation
+// -> sink path allocate nothing in steady state.
 func TestConformanceDisabledHooksAllocFree(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		name := "no observer"
+		if observed {
+			name = "no-op observer"
+		}
+		t.Run(name+"/channel", func(t *testing.T) { channelAllocFree(t, observed) })
+		t.Run(name+"/router", func(t *testing.T) { routerAllocFree(t, observed) })
+	}
+}
+
+func channelAllocFree(t *testing.T, observed bool) {
 	var now uint64
 	ch := sbus.NewChannel("t", 1, 0, 1)
 	w := ch.AddWriter(nullCredit{}, 0, 1, 8)
 	rx := &loopbackRx{}
 	rx.rx = ch.AddRx(rx, 0, 1, 4)
+	if observed {
+		ch.Observers = append(ch.Observers, nopObserver{})
+	}
 	p := &noc.Packet{ID: 1, NumFlits: 2}
 	fl := noc.MakeFlits(p)
 	iter := func() {
@@ -480,6 +587,47 @@ func TestConformanceDisabledHooksAllocFree(t *testing.T) {
 	iter()
 	iter()
 	if allocs := testing.AllocsPerRun(100, iter); allocs != 0 {
-		t.Errorf("nil-checker send/tick path allocates %v per packet, want 0", allocs)
+		t.Errorf("channel send/tick path allocates %v per packet, want 0", allocs)
+	}
+}
+
+// routerAllocFree drives one pooled packet per iteration from a source
+// through a two-port router (terminal in on port 0, out on port 1) into a sink.
+func routerAllocFree(t *testing.T, observed bool) {
+	route := func(*noc.Packet, int) (int, uint32) { return 1, 1 }
+	r := router.New(router.Config{ID: 0, NumPorts: 2, NumVCs: 1, BufDepth: 4, Route: route})
+	src := router.NewSource(0, nil, 1, 4)
+	in := &routerLink{r: r, back: src}
+	src.SetConduit(in)
+	r.ConnectInput(0, in)
+	snk := router.NewSink(1)
+	out := &sinkLink{snk: snk, r: r}
+	r.ConnectOutput(1, out, 4, 1)
+	snk.SetUpstream(out)
+	gen := &readyGen{}
+	src.SetGenerator(gen)
+	if observed {
+		src.Observers = append(src.Observers, nopObserver{})
+		src.Pool().Observers = append(src.Pool().Observers, nopObserver{})
+		r.Observers = append(r.Observers, nopObserver{})
+		snk.Observers = append(snk.Observers, nopObserver{})
+	}
+	var now uint64
+	iter := func() {
+		gen.armed = true
+		for i := 0; i < 8; i++ {
+			src.Tick(now)
+			r.Tick(now)
+			now++
+		}
+	}
+	iter()
+	iter()
+	if snk.Ejected != 2 || src.Pool().Recycled != 2 {
+		t.Fatalf("harness ejected %d and recycled %d packets in 2 iterations, want 2",
+			snk.Ejected, src.Pool().Recycled)
+	}
+	if allocs := testing.AllocsPerRun(100, iter); allocs != 0 {
+		t.Errorf("source/router/sink path allocates %v per packet, want 0", allocs)
 	}
 }

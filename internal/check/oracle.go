@@ -26,16 +26,19 @@ func (e PacketEvent) String() string {
 }
 
 // DeliveryLog records every packet delivery of one run in global ejection
-// order. fabric.Network.RecordDeliveries wires one through the sinks'
-// OnEject hooks; within a cycle, sinks eject in the deterministic
+// order. fabric.Network.RecordDeliveries attaches one to every sink as a
+// router.SinkObserver; within a cycle, sinks eject in the deterministic
 // delivery-phase walk order, so the log itself is reproducible.
 type DeliveryLog struct {
 	Events []PacketEvent
 }
 
-// Record appends one completed packet; it matches the Sink.OnEject hook
-// signature.
-func (l *DeliveryLog) Record(p *noc.Packet, cycle uint64) {
+// Receive completes router.SinkObserver: the log records packets, not
+// flits.
+func (*DeliveryLog) Receive(uint64, *noc.Flit) {}
+
+// Eject appends one completed packet.
+func (l *DeliveryLog) Eject(cycle uint64, p *noc.Packet) {
 	l.Events = append(l.Events, PacketEvent{
 		ID:         p.ID,
 		Src:        p.Src,

@@ -59,7 +59,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	loads := SweepLoads(256, 4)
 	b := Budget{Warmup: 300, Measure: 1200, Loads: 4, Seed: 9}
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
-	par := Sweep(sys, traffic.Uniform, loads, b)
+	par, _ := Sweep(sys, traffic.Uniform, loads, b, nil, false)
 	var ser []float64
 	for i, l := range loads {
 		res := sys.Run(

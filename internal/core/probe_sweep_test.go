@@ -37,11 +37,11 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 
 		var mu sync.Mutex
 		done := 0
-		pts := SweepWithProgress(sys, traffic.Uniform, loads, b, func(int, stats.CurvePoint) {
+		pts, _ := Sweep(sys, traffic.Uniform, loads, b, func(int, stats.CurvePoint) {
 			mu.Lock()
 			done++
 			mu.Unlock()
-		})
+		}, false)
 		if done != len(loads) {
 			t.Fatalf("progress callback fired %d times, want %d", done, len(loads))
 		}

@@ -6,6 +6,7 @@ import (
 
 	"ownsim/internal/check"
 	"ownsim/internal/fabric"
+	"ownsim/internal/power"
 	"ownsim/internal/stats"
 	"ownsim/internal/topology"
 	"ownsim/internal/traffic"
@@ -82,58 +83,45 @@ func SweepLoads(cores, points int) []float64 {
 }
 
 // Sweep runs the system across the given loads in parallel and returns
-// the latency/throughput curve (the paper's Figure 7b/c data).
-func Sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget) []stats.CurvePoint {
-	return SweepWithProgress(sys, pattern, loads, b, nil)
-}
-
-// SweepWithProgress is Sweep with a per-point completion callback for
-// progress reporting (cmd/sweep prints one stderr line per finished
-// point). onPoint is invoked from the worker goroutines as points
-// complete — completion order is nondeterministic, so the callback must
-// be safe for concurrent use and must not feed any deterministic
-// artifact; the returned slice is always in load order and is the only
-// sanctioned result. nil onPoint is allowed.
-func SweepWithProgress(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) []stats.CurvePoint {
-	points := make([]stats.CurvePoint, len(loads))
-	ParallelMap(len(loads), func(i int) {
-		res := sys.Run(
-			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
-		)
-		points[i] = stats.CurvePoint{
-			Load:       loads[i],
-			Latency:    res.AvgLatency,
-			Throughput: res.Throughput,
-			Saturated:  !res.Drained,
-		}
-		if onPoint != nil {
-			onPoint(i, points[i])
-		}
-	})
-	return points
-}
-
-// CheckedSweep is SweepWithProgress with the conformance checker
-// installed on every point (System.RunChecked). It returns the curve in
-// load order plus every violation detected across the sweep, also
-// concatenated in load order so campaign reports stay deterministic. The
-// curve itself is bit-identical to an unchecked sweep's.
-func CheckedSweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint)) ([]stats.CurvePoint, []check.Violation) {
+// the latency/throughput curve (the paper's Figure 7b/c data) in load
+// order. Point i runs under seed b.Seed+i.
+//
+// onPoint, which may be nil, reports each point as it completes (cmd/sweep
+// prints one stderr line per point). It is invoked from the worker
+// goroutines in nondeterministic completion order, so it must be safe
+// for concurrent use and must not feed any deterministic artifact.
+//
+// With checked set, every point runs under the conformance checker
+// (internal/check) and closes with a structural audit
+// (Network.CheckInvariants); the violations come back concatenated in
+// load order, so campaign reports stay deterministic. The checker is
+// inert: the curve is bit-identical to an unchecked sweep's.
+func Sweep(sys System, pattern traffic.Pattern, loads []float64, b Budget, onPoint func(i int, p stats.CurvePoint), checked bool) ([]stats.CurvePoint, []check.Violation) {
 	points := make([]stats.CurvePoint, len(loads))
 	perPoint := make([][]check.Violation, len(loads))
 	ParallelMap(len(loads), func(i int) {
-		res, vs := sys.RunChecked(
-			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i)},
+		n := sys.Build(power.NewMeter(nil))
+		var c *check.Checker
+		if checked {
+			c = check.New()
+			n.InstallChecker(c, nil)
+		}
+		res := n.Run(
+			fabric.TrafficSpec{Pattern: pattern, Rate: loads[i], Seed: b.Seed + uint64(i), Policy: sys.Policy, Classify: sys.Classify},
 			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure, ReservoirCap: b.ReservoirCap},
 		)
+		if c != nil {
+			if err := n.CheckInvariants(); err != nil {
+				c.Report(n.Eng.Cycle(), check.RuleState, n.Name, err.Error())
+			}
+			perPoint[i] = c.Violations()
+		}
 		points[i] = stats.CurvePoint{
 			Load:       loads[i],
 			Latency:    res.AvgLatency,
 			Throughput: res.Throughput,
 			Saturated:  !res.Drained,
 		}
-		perPoint[i] = vs
 		if onPoint != nil {
 			onPoint(i, points[i])
 		}
@@ -149,5 +137,6 @@ func CheckedSweep(sys System, pattern traffic.Pattern, loads []float64, b Budget
 // throughput plateau (the paper's Figure 7a / 8a metric).
 func SaturationThroughput(sys System, pattern traffic.Pattern, b Budget) float64 {
 	loads := SweepLoads(sys.Cores, b.Loads)
-	return stats.SaturationThroughput(Sweep(sys, pattern, loads, b))
+	points, _ := Sweep(sys, pattern, loads, b, nil, false)
+	return stats.SaturationThroughput(points)
 }

@@ -17,7 +17,7 @@ func TestSweepUnderRace(t *testing.T) {
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	loads := SweepLoads(256, 2)
 	b := Budget{Warmup: 200, Measure: 800, Loads: 2, Seed: 5}
-	pts := Sweep(sys, traffic.Uniform, loads, b)
+	pts, _ := Sweep(sys, traffic.Uniform, loads, b, nil, false)
 	if len(pts) != 2 {
 		t.Fatalf("want 2 sweep points, got %d", len(pts))
 	}
@@ -40,7 +40,8 @@ func TestSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) string {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		return fmt.Sprintf("%+v", Sweep(sys, traffic.Uniform, loads, b))
+		pts, _ := Sweep(sys, traffic.Uniform, loads, b, nil, false)
+		return fmt.Sprintf("%+v", pts)
 	}
 	serial := run(1)
 	parallel := run(4)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ownsim/internal/check"
 	"ownsim/internal/fabric"
 	"ownsim/internal/power"
 	"ownsim/internal/router"
@@ -94,23 +93,4 @@ func (s System) Run(ts fabric.TrafficSpec, rs fabric.RunSpec) fabric.Result {
 	ts.Classify = s.Classify
 	n := s.Build(power.NewMeter(nil))
 	return n.Run(ts, rs)
-}
-
-// RunChecked is Run with the conformance checker (internal/check)
-// installed: every protocol invariant is audited while the simulation
-// runs, and a final structural audit (Network.CheckInvariants) closes the
-// run. It returns the result — bit-identical to Run's, the checker is
-// inert — together with the recorded violations (empty for a conformant
-// run). The CLIs' -check campaign mode is built on it.
-func (s System) RunChecked(ts fabric.TrafficSpec, rs fabric.RunSpec) (fabric.Result, []check.Violation) {
-	ts.Policy = s.Policy
-	ts.Classify = s.Classify
-	n := s.Build(power.NewMeter(nil))
-	c := check.New()
-	n.InstallChecker(c, nil)
-	res := n.Run(ts, rs)
-	if err := n.CheckInvariants(); err != nil {
-		c.Report(n.Eng.Cycle(), check.RuleState, n.Name, err.Error())
-	}
-	return res, c.Violations()
 }

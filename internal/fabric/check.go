@@ -5,17 +5,20 @@ import (
 
 	"ownsim/internal/check"
 	"ownsim/internal/flightrec"
+	"ownsim/internal/router"
+	"ownsim/internal/sbus"
 	"ownsim/internal/sim"
 )
 
-// InstallChecker wires the conformance checker c through every component
-// of the network: per-flit source/sink hooks close the flit-conservation
-// ledger, router hooks audit route legality and per-VC FIFO order against
-// the topology's own routing tables, shared-channel hooks audit
-// single-token-holder arbitration and delivery order, pool hooks catch
-// mid-flight recycles, and a periodic structural sweep re-validates
-// credit bounds and queue accounting (see internal/check for the full
-// invariant catalog). Install before Run, and at most once.
+// InstallChecker attaches the conformance checker c to every component
+// of the network: source/sink monitors close the flit-conservation
+// ledger, router monitors audit route legality and per-VC FIFO order
+// against the topology's own routing tables, channel monitors audit
+// single-token-holder arbitration and delivery order, the checker itself
+// observes every packet pool to catch mid-flight recycles, and a periodic
+// structural sweep re-validates credit bounds and queue accounting (see
+// internal/check for the full invariant catalog). Install before Run, and
+// at most once.
 //
 // Violations trip a flight-recorder-style dump: the first one captures a
 // full state snapshot (Snapshot, naming the offending component and cycle
@@ -23,9 +26,9 @@ import (
 // may be nil, additionally observes every violation as it happens; only
 // the first call carries the snapshot, later ones pass nil.
 //
-// The checker observes through its own dedicated hook fields, so it
-// coexists with an installed probe and flight recorder in any order. Like
-// them it is inert: a checked run's Result is bit-identical to an
+// The checker's monitors are plain observers appended behind any already
+// installed, so it coexists with a probe and flight recorder in any
+// order. Like them it is inert: a checked run's Result is bit-identical to an
 // unchecked one (the structural sweep registers an always-on collect-phase
 // ticker, which only pins RunUntil to per-cycle stepping — simulation
 // state is unaffected).
@@ -54,32 +57,17 @@ func (n *Network) InstallChecker(c *check.Checker, onViolation func(v check.Viol
 		}
 	}
 
-	for _, src := range n.Sources {
-		if src == nil {
-			continue
-		}
-		sm := c.NewSourceMonitor(src.CoreID)
-		src.OnCkFlit = sm.Flit
-		src.Pool().OnCkRecycle = c.Recycle
-	}
-	for _, snk := range n.Sinks {
-		if snk == nil {
-			continue
-		}
-		km := c.NewSinkMonitor(snk.CoreID)
-		snk.OnCkFlit = km.Flit
-	}
-	for _, r := range n.Routers {
-		rm := c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter)
-		r.OnCkRoute = rm.Route
-		r.OnCkFlit = rm.Flit
-	}
-	for _, ch := range n.Channels {
-		cm := c.NewChannelMonitor(channelLabel(ch))
-		ch.OnCkAcquire = cm.Acquire
-		ch.OnCkRelease = cm.Release
-		ch.OnCkDeliver = cm.Deliver
-	}
+	n.attach(observers{
+		source: func(_ int, s *router.Source) router.SourceObserver {
+			s.Pool().Observers = append(s.Pool().Observers, c)
+			return c.NewSourceMonitor(s.CoreID)
+		},
+		sink: func(_ int, s *router.Sink) router.SinkObserver { return c.NewSinkMonitor(s.CoreID) },
+		router: func(r *router.Router) router.RouterObserver {
+			return c.NewRouterMonitor(r.Cfg.ID, r.Cfg.Route, n.Diameter)
+		},
+		channel: func(_ int, ch *sbus.Channel) sbus.Observer { return c.NewChannelMonitor(channelLabel(ch)) },
+	})
 	n.Eng.Register(sim.PhaseCollect, &checkSweep{n: n, c: c, every: c.SweepEvery()})
 }
 
@@ -133,20 +121,12 @@ func (n *Network) SetReferenceMode() {
 	}
 }
 
-// RecordDeliveries wires a delivery log through every sink's OnEject
-// hook, capturing each completed packet in global ejection order. Call
-// before Run. The probe layer owns the same hook, so combining it with
-// InstallProbe is rejected.
+// RecordDeliveries attaches a delivery log to every sink, capturing each
+// completed packet in global ejection order. Call before Run; it
+// composes with every other observer layer.
 func (n *Network) RecordDeliveries() *check.DeliveryLog {
-	if n.Probe != nil {
-		panic(fmt.Sprintf("fabric %s: RecordDeliveries and InstallProbe both claim Sink.OnEject", n.Name))
-	}
 	log := &check.DeliveryLog{}
-	for _, snk := range n.Sinks {
-		if snk != nil {
-			snk.OnEject = log.Record
-		}
-	}
+	n.attach(observers{sink: func(int, *router.Sink) router.SinkObserver { return log }})
 	return log
 }
 

@@ -243,29 +243,38 @@ func (n *Network) Run(ts TrafficSpec, rs RunSpec) Result {
 	col := stats.NewCollector(n.NumCores, rs.Warmup, rs.Warmup+rs.Measure)
 	col.SetReservoirCap(rs.ReservoirCap)
 	n.Collector = col
-	for id, src := range n.Sources {
-		if src == nil {
-			panic(fmt.Sprintf("fabric: terminal %d missing", id))
-		}
+	for id := range n.Sources {
 		gen := traffic.NewBernoulli(id, n.NumCores, ts.Pattern, ts.Rate, ts.PktFlits, ts.Seed, ts.Classify)
 		if ts.Sizes != nil {
 			gen.SetSizes(*ts.Sizes)
 		}
 		gen.MeasureFrom = rs.Warmup
 		gen.MeasureTo = rs.Warmup + rs.Measure
-		src.SetGenerator(gen)
-		src.Policy = ts.Policy
-		src.OnAccepted = col.OnCreated
-		snk := n.Sinks[id]
-		snk.OnPacket = col.OnEjected
+		n.feed(id, gen, ts.Policy, col)
 	}
 	n.Eng.Run(rs.Warmup + rs.Measure)
 	drained := n.Eng.RunUntil(func() bool { return col.Pending() == 0 }, rs.drain())
-	n.Probe.Flush(n.Eng.Cycle())
-	res := Result{
-		Summary: col.Summary(),
-		Drained: drained,
+	return n.result(col, drained)
+}
+
+// feed installs gen on terminal id's source, with the statistics
+// collector on the terminal's accounting hooks.
+func (n *Network) feed(id int, gen router.Generator, policy router.VCPolicy, col *stats.Collector) {
+	src := n.Sources[id]
+	if src == nil {
+		panic(fmt.Sprintf("fabric: terminal %d missing", id))
 	}
+	src.SetGenerator(gen)
+	src.Policy = policy
+	src.OnAccepted = col.OnCreated
+	n.Sinks[id].OnPacket = col.OnEjected
+}
+
+// result closes a run: it flushes the probe's final metric sample and
+// reports the collector's summary with the power breakdown.
+func (n *Network) result(col *stats.Collector, drained bool) Result {
+	n.Probe.Flush(n.Eng.Cycle())
+	res := Result{Summary: col.Summary(), Drained: drained}
 	if n.Meter != nil {
 		res.Power = n.Meter.Report(n.Eng.Cycle())
 		res.AvgWirelessChannelMW = float64(n.Meter.WirelessAvgChannelMW(n.Eng.Cycle()))
@@ -288,15 +297,9 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 	col := stats.NewCollector(n.NumCores, 0, budget)
 	n.Collector = col
 	gens := tr.PerSource(n.NumCores, pktFlits, ts.Classify)
-	for id, src := range n.Sources {
-		if src == nil {
-			panic(fmt.Sprintf("fabric: terminal %d missing", id))
-		}
+	for id := range n.Sources {
 		gens[id].MeasureFrom, gens[id].MeasureTo = 0, budget
-		src.SetGenerator(gens[id])
-		src.Policy = ts.Policy
-		src.OnAccepted = col.OnCreated
-		n.Sinks[id].OnPacket = col.OnEjected
+		n.feed(id, gens[id], ts.Policy, col)
 	}
 	done := func() bool {
 		if col.Pending() > 0 {
@@ -309,14 +312,7 @@ func (n *Network) RunTrace(tr *traffic.Trace, pktFlits int, ts TrafficSpec, budg
 		}
 		return true
 	}
-	drained := n.Eng.RunUntil(done, budget)
-	n.Probe.Flush(n.Eng.Cycle())
-	res := Result{Summary: col.Summary(), Drained: drained}
-	if n.Meter != nil {
-		res.Power = n.Meter.Report(n.Eng.Cycle())
-		res.AvgWirelessChannelMW = float64(n.Meter.WirelessAvgChannelMW(n.Eng.Cycle()))
-	}
-	return res
+	return n.result(col, n.Eng.RunUntil(done, budget))
 }
 
 // CheckInvariants validates every router and the hop bound; tests call it

@@ -13,7 +13,7 @@ import (
 // enables token-wait tracking on every shared channel, and schedules
 // the deterministic watchdog in the engine's Collect phase. Call it
 // after the topology builder and BEFORE InstallProbe — the probe
-// installer hooks the stall tracker into the channel-transmit path and
+// installer attaches the stall tracker's channel observers and
 // registers the token/stall gauges behind the established columns. A
 // nil recorder is a no-op. Like the probe layer, the recorder is inert:
 // it only reads state the simulation already maintains, so installing
@@ -43,24 +43,9 @@ func (n *Network) InstallFlightRecorder(fr *flightrec.FlightRecorder) {
 	dog := fr.Dog
 	dog.Channels = n.Channels
 	dog.SnapshotFn = n.Snapshot
-	sinks, sources := n.Sinks, n.Sources
-	chans := n.Channels
 	dog.Progress = func() (ejected uint64, inFlight int) {
-		for _, s := range sinks {
-			if s != nil {
-				ejected += s.Ejected
-			}
-		}
-		inFlight = n.BufferedFlits()
-		for _, s := range sources {
-			if s != nil {
-				inFlight += s.QueueLen()
-			}
-		}
-		for _, ch := range chans {
-			inFlight += ch.Queued()
-		}
-		return ejected, inFlight
+		p := n.progress()
+		return p.Ejected, p.BufferedFlits + p.SrcQueued + p.ChannelQueued
 	}
 	// Registered before the probe's sampler (InstallProbe runs later),
 	// so dump requests served at a watchdog tick see the recorder ring
@@ -135,6 +120,30 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 	}
 }
 
+// progress sums the network's liveness counters over every terminal,
+// router and shared channel.
+func (n *Network) progress() flightrec.Progress {
+	var p flightrec.Progress
+	for _, s := range n.Sources {
+		if s != nil {
+			p.Generated += s.Generated
+			p.Injected += s.Injected
+			p.Dropped += s.Dropped
+			p.SrcQueued += s.QueueLen()
+		}
+	}
+	for _, s := range n.Sinks {
+		if s != nil {
+			p.Ejected += s.Ejected
+		}
+	}
+	p.BufferedFlits = n.BufferedFlits()
+	for _, ch := range n.Channels {
+		p.ChannelQueued += ch.Queued()
+	}
+	return p
+}
+
 // Snapshot assembles the full diagnostic state dump the watchdog and
 // the /debug/dump endpoint serve. It must run on the simulation
 // goroutine (the watchdog's Tick serves cross-goroutine requests); it
@@ -142,30 +151,15 @@ func (n *Network) wireFlightRec(p *probe.Probe) {
 func (n *Network) Snapshot(reason string) *flightrec.Snapshot {
 	cycle := n.Eng.Cycle()
 	snap := &flightrec.Snapshot{
-		Reason: reason,
-		Cycle:  cycle,
-		Net:    n.Name,
-		Cores:  n.NumCores,
-		Engine: n.EngineIntro(),
-		Pools:  n.PoolIntro(),
+		Reason:   reason,
+		Cycle:    cycle,
+		Net:      n.Name,
+		Cores:    n.NumCores,
+		Engine:   n.EngineIntro(),
+		Pools:    n.PoolIntro(),
+		Progress: n.progress(),
 	}
-	for _, s := range n.Sources {
-		if s == nil {
-			continue
-		}
-		snap.Progress.Generated += s.Generated
-		snap.Progress.Injected += s.Injected
-		snap.Progress.Dropped += s.Dropped
-		snap.Progress.SrcQueued += s.QueueLen()
-	}
-	for _, s := range n.Sinks {
-		if s != nil {
-			snap.Progress.Ejected += s.Ejected
-		}
-	}
-	snap.Progress.BufferedFlits = n.BufferedFlits()
 	for _, ch := range n.Channels {
-		snap.Progress.ChannelQueued += ch.Queued()
 		snap.Channels = append(snap.Channels, ch.Introspect())
 	}
 	for _, r := range n.Routers {

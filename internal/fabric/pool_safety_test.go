@@ -5,6 +5,7 @@ import (
 
 	"ownsim/internal/noc"
 	"ownsim/internal/power"
+	"ownsim/internal/router"
 	"ownsim/internal/stats"
 	"ownsim/internal/traffic"
 )
@@ -17,22 +18,11 @@ import (
 // protocol documented on noc.Pool.
 func TestNoRecycledFlitInFlight(t *testing.T) {
 	n := ring(4, power.NewMeter(nil))
-	for _, r := range n.Routers {
-		r.OnSwitch = func(_ uint64, f *noc.Flit, inPort, outPort int) {
-			if !f.Live() {
-				t.Fatalf("recycled flit in flight: pkt %d seq %d (in %d out %d)", f.Pkt.ID, f.Seq, inPort, outPort)
-			}
-		}
-	}
-	for _, snk := range n.Sinks {
-		snk.OnEject = func(p *noc.Packet, _ uint64) {
-			// The tail just arrived; the lifetime must still be open
-			// (the sink recycles only after this hook returns).
-			if p.EjectedAt == 0 && p.InjectedAt == 0 {
-				t.Fatalf("ejection hook saw a zeroed (recycled) packet %d", p.ID)
-			}
-		}
-	}
+	lc := &liveChecker{t: t}
+	n.attach(observers{
+		sink:   func(int, *router.Sink) router.SinkObserver { return lc },
+		router: func(*router.Router) router.RouterObserver { return lc },
+	})
 	res := n.Run(
 		TrafficSpec{Pattern: traffic.Uniform, Rate: 0.2, PktFlits: 3, Seed: 5},
 		RunSpec{Warmup: 200, Measure: 2000},
@@ -57,6 +47,28 @@ func TestNoRecycledFlitInFlight(t *testing.T) {
 		t.Fatal("sinks never recycled a packet")
 	}
 }
+
+// liveChecker asserts, at every switch traversal and every ejection,
+// that the flit/packet being handled still belongs to a live lifetime.
+type liveChecker struct{ t *testing.T }
+
+func (c *liveChecker) Switch(_ uint64, f *noc.Flit, inPort, outPort, _ int) {
+	if !f.Live() {
+		c.t.Fatalf("recycled flit in flight: pkt %d seq %d (in %d out %d)", f.Pkt.ID, f.Seq, inPort, outPort)
+	}
+}
+
+func (c *liveChecker) Eject(_ uint64, p *noc.Packet) {
+	// The tail just arrived; the lifetime must still be open (the sink
+	// recycles only after its observers return).
+	if p.EjectedAt == 0 && p.InjectedAt == 0 {
+		c.t.Fatalf("ejection hook saw a zeroed (recycled) packet %d", p.ID)
+	}
+}
+
+func (*liveChecker) Route(uint64, *noc.Packet, int, int, uint32) {}
+func (*liveChecker) VCAlloc(uint64, *noc.Packet, int, int)       {}
+func (*liveChecker) Receive(uint64, *noc.Flit)                   {}
 
 // TestPooledRunMatchesUnpooledGenerators pins the semantic neutrality of
 // pooling at the fabric level: a generator installed without the pool

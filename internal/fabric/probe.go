@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"ownsim/internal/flightrec"
-	"ownsim/internal/noc"
 	"ownsim/internal/probe"
 	"ownsim/internal/router"
 	"ownsim/internal/sbus"
@@ -13,11 +11,11 @@ import (
 
 // InstallProbe wires an observability probe into an assembled network:
 // it registers metrics over the network's components, schedules the
-// cycle-windowed sampler in the engine's Collect phase, and installs the
-// per-packet trace hooks. Call it after the topology builder and before
-// Run; a nil probe is a no-op. The probe layer is inert by construction:
+// cycle-windowed sampler in the engine's Collect phase, and attaches the
+// per-packet trace and span observers. Call it after the topology
+// builder and before Run; a nil probe is a no-op. The probe layer is inert by construction:
 // every metric is read from state the simulation already maintains, and
-// every hook only records — enabling a probe never changes a Summary
+// every observer only records — enabling a probe never changes a Summary
 // (tests assert this bit-for-bit).
 func (n *Network) InstallProbe(p *probe.Probe) {
 	if p == nil {
@@ -31,8 +29,8 @@ func (n *Network) InstallProbe(p *probe.Probe) {
 	if s := p.Sampler(); s != nil {
 		n.Eng.Register(sim.PhaseCollect, s)
 	}
-	if t, sp := p.Tracer(), p.Spans(); t != nil || sp != nil {
-		n.installPacketHooks(t, sp)
+	if p.Tracer() != nil || p.Spans() != nil {
+		n.attachProbe(p)
 	}
 	// Flight-recorder metrics ride behind every established column so
 	// artifact layouts without a recorder are unchanged.
@@ -58,34 +56,19 @@ func (n *Network) registerMetrics(p *probe.Probe) {
 		return float64(total)
 	})
 	sources := n.Sources
-	reg.Gauge("net.generated_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Generated
+	sourceSum := func(get func(s *router.Source) uint64) func() float64 {
+		return func() float64 {
+			var total uint64
+			for _, s := range sources {
+				total += get(s)
+			}
+			return float64(total)
 		}
-		return float64(total)
-	})
-	reg.Gauge("net.injected_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Injected
-		}
-		return float64(total)
-	})
-	reg.Gauge("net.dropped_pkts", func() float64 {
-		var total uint64
-		for _, s := range sources {
-			total += s.Dropped
-		}
-		return float64(total)
-	})
-	reg.Gauge("net.src_queued_pkts", func() float64 {
-		total := 0
-		for _, s := range sources {
-			total += s.QueueLen()
-		}
-		return float64(total)
-	})
+	}
+	reg.Gauge("net.generated_pkts", sourceSum(func(s *router.Source) uint64 { return s.Generated }))
+	reg.Gauge("net.injected_pkts", sourceSum(func(s *router.Source) uint64 { return s.Injected }))
+	reg.Gauge("net.dropped_pkts", sourceSum(func(s *router.Source) uint64 { return s.Dropped }))
+	reg.Gauge("net.src_queued_pkts", sourceSum(func(s *router.Source) uint64 { return uint64(s.QueueLen()) }))
 	sinks := n.Sinks
 	reg.Gauge("net.ejected_pkts", func() float64 {
 		var total uint64
@@ -286,116 +269,66 @@ func channelTransit(ch *sbus.Channel) probe.SpanPhase {
 	return probe.SpanElec
 }
 
-// installPacketHooks attaches per-packet lifecycle observers to every
-// source, sink, router and shared channel, feeding the trace sampler
-// and/or the latency-attribution tracker (either may be nil; the
-// tracer's Sampled and every SpanTracker method tolerate it). Components
-// are registered with the tracer in deterministic order (sources,
-// sinks, routers, channels, each in index order), so thread IDs — and
-// therefore the exported trace bytes — are reproducible.
-func (n *Network) installPacketHooks(t *probe.Tracer, sp *probe.SpanTracker) {
-	for id, src := range n.Sources {
-		if src == nil {
-			continue
-		}
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("src.%d", id))
-		}
-		src.OnEnqueue = func(p *noc.Packet, cycle uint64) {
-			sp.Enqueue(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvEnqueue, p, 0)
-			}
-		}
-		src.OnInject = func(p *noc.Packet, cycle uint64) {
-			sp.Inject(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvInject, p, 0)
-			}
+// observers is one observer layer: a constructor per component type,
+// nil to leave that type unobserved.
+type observers struct {
+	source  func(id int, s *router.Source) router.SourceObserver
+	sink    func(id int, s *router.Sink) router.SinkObserver
+	router  func(r *router.Router) router.RouterObserver
+	channel func(ci int, ch *sbus.Channel) sbus.Observer
+}
+
+// attach is the one wiring walk every observer layer goes through. It
+// visits sources, sinks, routers and shared channels, each in index
+// order — the tracer's registration order, so trace thread IDs and the
+// exported trace bytes are reproducible — and appends the layer's
+// observer behind any an earlier layer installed.
+func (n *Network) attach(o observers) {
+	for id, s := range n.Sources {
+		if s != nil && o.source != nil {
+			s.Observers = append(s.Observers, o.source(id, s))
 		}
 	}
-	for id, snk := range n.Sinks {
-		if snk == nil {
-			continue
-		}
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("sink.%d", id))
-		}
-		snk.OnEject = func(p *noc.Packet, cycle uint64) {
-			sp.Eject(p, cycle)
-			if t.Sampled(p.ID) {
-				t.Emit(cycle, cid, probe.EvEject, p, 0)
-			}
+	for id, s := range n.Sinks {
+		if s != nil && o.sink != nil {
+			s.Observers = append(s.Observers, o.sink(id, s))
 		}
 	}
 	for _, r := range n.Routers {
-		cid := 0
-		if t != nil {
-			cid = t.Component(fmt.Sprintf("router.%d", r.Cfg.ID))
+		if o.router != nil {
+			r.Observers = append(r.Observers, o.router(r))
 		}
-		if t != nil {
-			r.OnRoute = func(cycle uint64, p *noc.Packet, inPort, outPort int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvRoute, p, outPort)
-				}
-			}
-			r.OnVCAlloc = func(cycle uint64, p *noc.Packet, outPort, outVC int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvVCAlloc, p, outVC)
-				}
-			}
-		}
-		r.OnSwitch = func(cycle uint64, f *noc.Flit, inPort, outPort int) {
-			sp.Switch(cycle, f)
-			if f.IsHead() && t.Sampled(f.Pkt.ID) {
-				t.Emit(cycle, cid, probe.EvSwitch, f.Pkt, outPort)
-			}
-		}
-	}
-	// The channel-transmit hook feeds the stall tracker the exact wait
-	// the span tracker charges to token_wait, so fairness artifacts
-	// reconcile with the latency breakdown cycle for cycle. A nil
-	// tracker (no flight recorder) records nothing.
-	var st *flightrec.StallTracker
-	if n.FlightRec != nil {
-		st = n.FlightRec.Stall
-	}
-	cpt := n.CoresPerTile
-	if cpt < 1 {
-		cpt = 1
 	}
 	for ci, ch := range n.Channels {
-		cid := 0
-		if t != nil {
-			cid = t.Component(channelLabel(ch))
-		}
-		if t != nil {
-			ch.OnAcquire = func(cycle uint64, p *noc.Packet, tokenCostCy int) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvTokenAcquire, p, tokenCostCy)
-				}
-			}
-			ch.OnRelease = func(cycle uint64, p *noc.Packet) {
-				if t.Sampled(p.ID) {
-					t.Emit(cycle, cid, probe.EvTokenRelease, p, 0)
-				}
-			}
-		}
-		// Channel parameters are fixed once the topology is built, so the
-		// hook captures them resolved rather than re-deriving per flit.
-		serCy, propCy := ch.SerializeCy, ch.PropCy
-		transit := channelTransit(ch)
-		swmrFwd := ch.Kind == "wireless" && ch.NumRx() > 1
-		ch.OnFlitTx = func(cycle uint64, f *noc.Flit, rx int) {
-			wait, ok := sp.ChannelTx(cycle, f, serCy, propCy, transit, swmrFwd)
-			if ok {
-				st.Observe(ci, f.Pkt.Src/cpt, wait)
-			}
-			if f.IsHead() && t.Sampled(f.Pkt.ID) {
-				t.Emit(cycle, cid, probe.EvTransmit, f.Pkt, rx)
-			}
+		if o.channel != nil {
+			ch.Observers = append(ch.Observers, o.channel(ci, ch))
 		}
 	}
+}
+
+// attachProbe attaches the probe's per-packet lifecycle observers to
+// every component, preceded on shared channels by the flight recorder's
+// stall feed: the feed reads each token wait just before the probe's
+// channel observer charges it to the span breakdown.
+func (n *Network) attachProbe(p *probe.Probe) {
+	if fr, sp := n.FlightRec, p.Spans(); fr != nil && sp != nil {
+		n.attach(observers{channel: func(ci int, _ *sbus.Channel) sbus.Observer {
+			return fr.Stall.NewObserver(ci, sp, n.CoresPerTile)
+		}})
+	}
+	n.attach(observers{
+		source: func(id int, _ *router.Source) router.SourceObserver {
+			return p.NewObserver(fmt.Sprintf("src.%d", id))
+		},
+		sink: func(id int, _ *router.Sink) router.SinkObserver {
+			return p.NewObserver(fmt.Sprintf("sink.%d", id))
+		},
+		router: func(r *router.Router) router.RouterObserver {
+			return p.NewObserver(fmt.Sprintf("router.%d", r.Cfg.ID))
+		},
+		channel: func(_ int, ch *sbus.Channel) sbus.Observer {
+			swmrFwd := ch.Kind == "wireless" && ch.NumRx() > 1
+			return p.NewChannelObserver(channelLabel(ch), ch.SerializeCy, ch.PropCy, channelTransit(ch), swmrFwd)
+		},
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"strconv"
 
+	"ownsim/internal/noc"
+	"ownsim/internal/probe"
 	"ownsim/internal/stats"
 )
 
@@ -60,12 +62,12 @@ type chanWait struct {
 }
 
 // StallTracker aggregates token-acquisition waits per source tile, per
-// medium kind and per channel. It is fed from the channel-transmit hook
-// with exactly the cycles the span tracker charges to token_wait, so
-// TotalWaitCy reconciles with probe.SpanTracker.PhaseCycles(
-// probe.SpanTokenWait) cycle for cycle. All aggregates are
-// index-ordered slices (the package is inside ownlint's deterministic
-// scope), and a nil tracker records nothing.
+// medium kind and per channel. Its StallObservers feed it exactly the
+// cycles the span tracker charges to token_wait, so TotalWaitCy
+// reconciles with probe.SpanTracker.PhaseCycles(probe.SpanTokenWait)
+// cycle for cycle. All aggregates are index-ordered slices (the package
+// is inside ownlint's deterministic scope), and a nil tracker records
+// nothing.
 type StallTracker struct {
 	tiles int
 	// Per-kind, tile-indexed aggregates.
@@ -133,6 +135,38 @@ func (st *StallTracker) Observe(ch, tile int, waitCy uint64) {
 	}
 	st.hist[k][tile*NumWaitBuckets+waitBucket(waitCy)]++
 }
+
+// StallObserver is the tracker's feed from one shared channel, an
+// sbus.Observer: at every measured head flit's serialization start it
+// records the token wait the span tracker is about to charge, so the
+// tile sums reconcile with the span breakdown. fabric.Network's probe
+// installer attaches it ahead of the probe's own channel observer.
+type StallObserver struct {
+	st    *StallTracker
+	spans *probe.SpanTracker
+	ch    int
+	cpt   int
+}
+
+// NewObserver returns the feed for channel index ch (from AddChannel),
+// reading waits from spans and mapping source cores to tiles of
+// coresPerTile cores.
+func (st *StallTracker) NewObserver(ch int, spans *probe.SpanTracker, coresPerTile int) *StallObserver {
+	return &StallObserver{st: st, spans: spans, ch: ch, cpt: max(coresPerTile, 1)}
+}
+
+// Transmit implements sbus.Observer.
+func (o *StallObserver) Transmit(cycle uint64, f *noc.Flit, rx int) {
+	if wait, ok := o.spans.TokenWait(cycle, f); ok {
+		o.st.Observe(o.ch, f.Pkt.Src/o.cpt, wait)
+	}
+}
+
+// Acquire, Release and Deliver complete sbus.Observer: a token wait
+// closes at serialization start.
+func (*StallObserver) Acquire(uint64, *noc.Packet, int, int, int) {}
+func (*StallObserver) Release(uint64, *noc.Packet, int)           {}
+func (*StallObserver) Deliver(uint64, *noc.Flit, int)             {}
 
 // Tiles returns the tile count the tracker was sized for.
 func (st *StallTracker) Tiles() int {

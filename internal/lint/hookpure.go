@@ -3,10 +3,11 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 	"unicode"
 )
 
-// hookBannedPkgs are packages a probe hook body must never call into:
+// hookBannedPkgs are packages an observer body must never call into:
 // wall-clock and global randomness break replayability, and os touches
 // process state.
 var hookBannedPkgs = map[string]bool{
@@ -18,43 +19,54 @@ var hookBannedPkgs = map[string]bool{
 
 // HookPureAnalyzer guards the probe-inertness contract: installing a
 // probe must not change simulation results or timing-sensitive behavior,
-// so the hook closures assigned to fabric's On* probe points (OnEnqueue,
-// OnDrop, ...) have to stay cheap and side-effect free. Inside such a
-// closure the analyzer flags:
+// so code that runs per simulated event on the observation path has to
+// stay cheap and side-effect free. It inspects two shapes of such code:
+//
+//   - every method of a type whose name ends in Observer (the probe's
+//     per-component adapter, the flight recorder's stall feed, ...)
+//   - closures assigned to On* fields inside internal/fabric (the
+//     energy meter's wire hooks, the checker's violation callback)
+//
+// Inside such a body the analyzer flags:
 //
 //   - calls into time, math/rand, math/rand/v2, or os
 //   - allocations: the append/make/new builtins and composite literals
-//     (a hook runs on the hot path of every simulated event)
-//   - writes to captured state: assignments or ++/-- through selectors,
-//     indexes, or dereferences whose root is not a variable declared
-//     inside the closure, and assignments to captured plain variables
+//     (an observer runs on the hot path of every simulated event)
+//   - writes to shared state: assignments or ++/-- through selectors,
+//     indexes, or dereferences whose root is not a non-pointer variable
+//     declared inside the body (a pointer receiver counts as shared),
+//     and assignments to captured plain variables
 //
-// Hooks that genuinely need shared aggregation go through the metric
-// registry's synchronized counters, not ad-hoc captured state; anything
-// else carries a reasoned //lint:ignore hookpure.
+// Observers that genuinely need aggregation delegate it to a method of
+// the aggregating type (SpanTracker, StallTracker), not to their own
+// state; anything else carries a reasoned //lint:ignore hookpure.
 func HookPureAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hookpure",
-		Doc:  "keep fabric On* probe hooks allocation-free, clock-free, and side-effect free",
+		Doc:  "keep *Observer methods and fabric On* hook closures allocation-free, clock-free, and side-effect free",
 		Run: func(p *Package, report Reporter) {
-			if !inScope(p.RelPath, []string{"internal/fabric"}) {
-				return
-			}
+			closures := inScope(p.RelPath, []string{"internal/fabric"})
 			for _, f := range p.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					as, ok := n.(*ast.AssignStmt)
-					if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-						return true
+					switch x := n.(type) {
+					case *ast.FuncDecl:
+						if x.Body != nil && x.Recv != nil && len(x.Recv.List) == 1 {
+							if name := recvTypeName(x.Recv.List[0].Type); strings.HasSuffix(name, "Observer") {
+								checkHookBody(p, name+"."+x.Name.Name, x, x.Body, report)
+							}
+						}
+					case *ast.AssignStmt:
+						if !closures || len(x.Lhs) != 1 || len(x.Rhs) != 1 {
+							return true
+						}
+						sel, ok := x.Lhs[0].(*ast.SelectorExpr)
+						if !ok || !isHookField(sel.Sel.Name) {
+							return true
+						}
+						if lit, ok := x.Rhs[0].(*ast.FuncLit); ok {
+							checkHookBody(p, sel.Sel.Name, lit, lit.Body, report)
+						}
 					}
-					sel, ok := as.Lhs[0].(*ast.SelectorExpr)
-					if !ok || !isHookField(sel.Sel.Name) {
-						return true
-					}
-					lit, ok := as.Rhs[0].(*ast.FuncLit)
-					if !ok {
-						return true
-					}
-					checkHookBody(p, sel.Sel.Name, lit, report)
 					return true
 				})
 			}
@@ -62,19 +74,31 @@ func HookPureAnalyzer() *Analyzer {
 	}
 }
 
-// isHookField matches the probe-point naming convention: On followed by
+// recvTypeName returns the type name of a method receiver.
+func recvTypeName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// isHookField matches the hook-field naming convention: On followed by
 // a capitalized event name.
 func isHookField(name string) bool {
 	return len(name) > 2 && name[0] == 'O' && name[1] == 'n' && unicode.IsUpper(rune(name[2]))
 }
 
-// checkHookBody inspects one hook closure for impurities.
-func checkHookBody(p *Package, hook string, lit *ast.FuncLit, report Reporter) {
-	// Everything declared inside the closure (params included) is local;
-	// writes to locals are fine, writes to anything else are captured
-	// shared state.
+// checkHookBody inspects one observer body for impurities; fn is the
+// enclosing closure or method, whose parameters count as local.
+func checkHookBody(p *Package, hook string, fn ast.Node, body *ast.BlockStmt, report Reporter) {
+	// Everything declared inside the body (params included) is local;
+	// writes to locals are fine, writes to anything else are shared
+	// state.
 	local := map[types.Object]bool{}
-	ast.Inspect(lit, func(n ast.Node) bool {
+	ast.Inspect(fn, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			if obj := p.Info.Defs[id]; obj != nil {
 				local[obj] = true
@@ -93,16 +117,16 @@ func checkHookBody(p *Package, hook string, lit *ast.FuncLit, report Reporter) {
 				obj = p.Info.Defs[t]
 			}
 			if obj != nil && !local[obj] {
-				report(t.Pos(), "hook %s writes captured variable %s: probe hooks must not mutate shared state", hook, t.Name)
+				report(t.Pos(), "hook %s writes captured variable %s: observers must not mutate shared state", hook, t.Name)
 			}
 		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 			if rootIsLocalValue(p, t, local) {
 				return
 			}
-			report(lhs.Pos(), "hook %s writes through %s: probe hooks must not mutate shared state", hook, types.ExprString(lhs))
+			report(lhs.Pos(), "hook %s writes through %s: observers must not mutate shared state", hook, types.ExprString(lhs))
 		}
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			switch f := unparen(x.Fun).(type) {
@@ -110,18 +134,18 @@ func checkHookBody(p *Package, hook string, lit *ast.FuncLit, report Reporter) {
 				if b, ok := p.Info.Uses[f].(*types.Builtin); ok {
 					switch b.Name() {
 					case "append", "make", "new":
-						report(x.Pos(), "hook %s allocates via %s: probe hooks run per simulated event and must stay allocation-free", hook, b.Name())
+						report(x.Pos(), "hook %s allocates via %s: observers run per simulated event and must stay allocation-free", hook, b.Name())
 					}
 				}
 			case *ast.SelectorExpr:
 				if id, ok := f.X.(*ast.Ident); ok {
 					if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && hookBannedPkgs[pn.Imported().Path()] {
-						report(x.Pos(), "hook %s calls %s.%s: probe hooks must stay pure (no clock, global RNG, or process state)", hook, pn.Imported().Path(), f.Sel.Name)
+						report(x.Pos(), "hook %s calls %s.%s: observers must stay pure (no clock, global RNG, or process state)", hook, pn.Imported().Path(), f.Sel.Name)
 					}
 				}
 			}
 		case *ast.CompositeLit:
-			report(x.Pos(), "hook %s allocates a composite literal: probe hooks run per simulated event and must stay allocation-free", hook)
+			report(x.Pos(), "hook %s allocates a composite literal: observers run per simulated event and must stay allocation-free", hook)
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				checkWrite(lhs)

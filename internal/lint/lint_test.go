@@ -94,6 +94,9 @@ var expectedViolations = map[string][]struct{ file, marker string }{
 		{"internal/fabric/hooks.go", "make([]int, 0, 4)"},
 		{"internal/fabric/hooks.go", "s.count++"},
 		{"internal/fabric/hooks.go", "time.Now()"},
+		{"internal/probe/observer.go", "ids := []int{id}"},
+		{"internal/probe/observer.go", "o.count++"},
+		{"internal/probe/observer.go", "os.Getpid()"},
 	},
 }
 

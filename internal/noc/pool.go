@@ -25,13 +25,13 @@ package noc
 type Pool struct {
 	free []*Packet
 
-	// OnCkRecycle observes every packet returned to this pool
-	// (fabric.Network.InstallChecker wires it; nil disables). It fires
-	// before the lifetime ends, so the conformance checker can audit the
-	// packet's conservation ledger: a recycle of a packet whose flits
-	// were launched but not all delivered is a pooling-protocol
-	// violation the tail-side checks alone cannot see.
-	OnCkRecycle func(p *Packet)
+	// Observers see every packet returned to this pool, in install
+	// order, before its lifetime ends (fabric.Network.InstallChecker
+	// adds the conformance checker, which audits the packet's
+	// conservation ledger: a recycle of a packet whose flits were
+	// launched but not all delivered is a pooling-protocol violation the
+	// tail-side checks alone cannot see). Empty costs one branch.
+	Observers []PoolObserver
 
 	// Gets counts packets handed out, News the subset that had to be
 	// freshly allocated (Gets - News came from the freelist).
@@ -42,6 +42,11 @@ type Pool struct {
 	// (handed out and not yet recycled); it bounds the pool's retained
 	// storage and is the in-flight high-water mark of the owning source.
 	HighWater uint64
+}
+
+// PoolObserver observes packet recycles; see Pool.Observers.
+type PoolObserver interface {
+	Recycle(p *Packet)
 }
 
 // Get returns a packet for a new lifetime: fields zeroed, flit storage
@@ -73,8 +78,8 @@ func Recycle(p *Packet) {
 	if p.freed {
 		panic("noc: packet recycled twice")
 	}
-	if p.pool.OnCkRecycle != nil {
-		p.pool.OnCkRecycle(p)
+	for _, o := range p.pool.Observers {
+		o.Recycle(p)
 	}
 	p.freed = true
 	p.gen++

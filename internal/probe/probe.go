@@ -14,9 +14,9 @@
 // inert: enabling probes must not change any stats.Summary.
 //
 // The hot-path contract is the nil fast path: components hold optional
-// handles (*probe.Counter fields, hook funcs) that are nil when probing
-// is disabled, so an uninstrumented simulation pays only a nil check per
-// potential event. fabric.Network.InstallProbe wires a Probe into an
+// handles (*probe.Counter fields) that are nil and observer lists that
+// are empty when probing is disabled, so an uninstrumented simulation
+// pays only one branch per potential event. fabric.Network.InstallProbe wires a Probe into an
 // assembled network.
 package probe
 

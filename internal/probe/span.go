@@ -119,8 +119,8 @@ type spanState struct {
 
 // SpanTracker accumulates per-phase latency attribution over the
 // measured packets of one run. A nil tracker is valid everywhere and
-// records nothing; fabric.Network.InstallProbe wires a non-nil one into
-// the packet lifecycle hooks when Options.Spans is set.
+// records nothing; fabric.Network.InstallProbe feeds a non-nil one from
+// the components' observers (see Observer) when Options.Spans is set.
 type SpanTracker struct {
 	live map[uint64]*spanState // keyed by packet ID; lookup only, never iterated
 	free []*spanState
@@ -174,13 +174,19 @@ func (s *SpanTracker) Inject(p *noc.Packet, cycle uint64) {
 	st.mark = cycle
 }
 
+// headState returns the open attribution of f's packet when f is a head
+// flit, else nil (also for a nil tracker and unmeasured packets).
+func (s *SpanTracker) headState(f *noc.Flit) *spanState {
+	if s == nil || !f.IsHead() {
+		return nil
+	}
+	return s.live[f.Pkt.ID]
+}
+
 // Switch closes the current residual interval at a router's head-flit
 // switch traversal (body and tail flits are not attribution points).
 func (s *SpanTracker) Switch(cycle uint64, f *noc.Flit) {
-	if s == nil || !f.IsHead() {
-		return
-	}
-	st := s.live[f.Pkt.ID]
+	st := s.headState(f)
 	if st == nil {
 		return
 	}
@@ -189,28 +195,32 @@ func (s *SpanTracker) Switch(cycle uint64, f *noc.Flit) {
 	st.residual = SpanElec
 }
 
-// ChannelTx attributes a shared-channel hop when the head flit starts
-// serializing: the interval since the head switched into the channel
-// writer is token wait, then the channel's fixed serialization and
-// propagation delays are pre-attributed (the head is delivered exactly
-// serializeCy+propCy later). A SWMR wireless hop labels the following
-// residual interval as the inter-group forward.
-//
-// It returns the token-wait cycles just charged and whether anything
-// was charged at all (false for a nil tracker, non-head flits and
-// unmeasured packets), so per-tile fairness accounting can mirror the
-// span attribution exactly — the flight recorder's tile sums reconcile
-// with PhaseCycles(SpanTokenWait) by construction.
-func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, serializeCy, propCy int, transit SpanPhase, swmrFwd bool) (tokenWaitCy uint64, ok bool) {
-	if s == nil || !f.IsHead() {
-		return 0, false
-	}
-	st := s.live[f.Pkt.ID]
+// TokenWait returns the token-wait cycles ChannelTx would charge for f
+// at cycle, without charging them: the interval since the head switched
+// into the channel writer. ok is false for a nil tracker, non-head flits
+// and unmeasured packets. The flight recorder's stall feed reads it just
+// before the probe's channel observer calls ChannelTx, so its per-tile
+// sums reconcile with PhaseCycles(SpanTokenWait) by construction.
+func (s *SpanTracker) TokenWait(cycle uint64, f *noc.Flit) (waitCy uint64, ok bool) {
+	st := s.headState(f)
 	if st == nil {
 		return 0, false
 	}
-	wait := cycle - st.mark
-	st.acc[SpanTokenWait] += wait
+	return cycle - st.mark, true
+}
+
+// ChannelTx attributes a shared-channel hop when the head flit starts
+// serializing: the interval since the head switched into the channel
+// writer is token wait (see TokenWait), then the channel's fixed
+// serialization and propagation delays are pre-attributed (the head is
+// delivered exactly serializeCy+propCy later). A SWMR wireless hop
+// labels the following residual interval as the inter-group forward.
+func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, serializeCy, propCy int, transit SpanPhase, swmrFwd bool) {
+	st := s.headState(f)
+	if st == nil {
+		return
+	}
+	st.acc[SpanTokenWait] += cycle - st.mark
 	st.acc[SpanSerialize] += uint64(serializeCy)
 	st.acc[transit] += uint64(propCy)
 	st.mark = cycle + uint64(serializeCy) + uint64(propCy)
@@ -219,7 +229,6 @@ func (s *SpanTracker) ChannelTx(cycle uint64, f *noc.Flit, serializeCy, propCy i
 	} else {
 		st.residual = SpanElec
 	}
-	return wait, true
 }
 
 // Eject closes the packet's attribution at tail ejection, verifies the

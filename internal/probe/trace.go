@@ -71,7 +71,7 @@ type Event struct {
 }
 
 // Tracer records per-packet lifecycle events. Components register once
-// (Component) and emit events through hooks installed by
+// (Component) and emit events through the Observers attached by
 // fabric.Network.InstallProbe; events are appended in engine order, so
 // the recorded stream is deterministic. Only packets selected by the
 // every-Nth sampling knob are traced, and the event buffer is capped to
@@ -101,12 +101,8 @@ func (t *Tracer) Component(name string) int {
 	return len(t.comps) - 1
 }
 
-// ComponentName returns the name registered for index c.
-func (t *Tracer) ComponentName(c int) string { return t.comps[c] }
-
 // Emit records one event for a sampled packet. Callers are expected to
-// have checked Sampled already (hooks are only invoked when tracing is
-// enabled, and filter per packet).
+// have checked Sampled already (observers filter per packet).
 func (t *Tracer) Emit(cycle uint64, comp int, kind EventKind, p *noc.Packet, arg int) {
 	if len(t.events) >= t.max {
 		t.dropped++

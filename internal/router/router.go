@@ -119,6 +119,21 @@ type Counters struct {
 	BusyStall *probe.Counter
 }
 
+// RouterObserver receives a router's per-packet pipeline events.
+// fabric.Network's installers attach the probe's tracer/span adapter and
+// the conformance checker's monitors; observers only record, and must
+// not retain the packet or flit past the call (see noc.Pool).
+type RouterObserver interface {
+	// Route fires once per packet per hop at route computation, with the
+	// chosen output port and the permitted output-VC mask.
+	Route(cycle uint64, p *noc.Packet, inPort, outPort int, vcMask uint32)
+	// VCAlloc fires once per packet per hop when an output VC is granted.
+	VCAlloc(cycle uint64, p *noc.Packet, outPort, outVC int)
+	// Switch fires for every flit granted by switch allocation, with its
+	// input/output ports and the output VC it was rewritten to.
+	Switch(cycle uint64, f *noc.Flit, inPort, outPort, outVC int)
+}
+
 // Router is a cycle-accurate input-queued VC router.
 type Router struct {
 	Cfg Config
@@ -126,25 +141,9 @@ type Router struct {
 	// PC holds optional probe counters; see Counters.
 	PC Counters
 
-	// OnRoute, OnVCAlloc and OnSwitch are optional per-packet pipeline
-	// observers installed by fabric.Network.InstallProbe; nil (the
-	// default) costs one predictable branch per event site. OnRoute
-	// and OnVCAlloc fire once per packet per hop; OnSwitch fires for
-	// every forwarded flit (observers filter on f.IsHead() and their
-	// packet-sampling stride).
-	OnRoute   func(cycle uint64, p *noc.Packet, inPort, outPort int)
-	OnVCAlloc func(cycle uint64, p *noc.Packet, outPort, outVC int)
-	OnSwitch  func(cycle uint64, f *noc.Flit, inPort, outPort int)
-
-	// OnCkRoute and OnCkFlit are the conformance checker's observers
-	// (fabric.Network.InstallChecker wires them; nil disables), kept
-	// separate from the probe hooks so checker and probe coexist.
-	// OnCkRoute fires at route computation with the chosen output port
-	// and the permitted-VC mask; OnCkFlit fires for every flit granted by
-	// switch allocation, with its input/output coordinates and the output
-	// VC it was rewritten to.
-	OnCkRoute func(cycle uint64, p *noc.Packet, inPort, outPort int, vcMask uint32)
-	OnCkFlit  func(cycle uint64, f *noc.Flit, inPort, outPort, outVC int)
+	// Observers see the pipeline events in install order; empty (the
+	// default) costs one predictable branch per event site.
+	Observers []RouterObserver
 
 	in  []*InputPort
 	out []*OutputPort
@@ -362,11 +361,8 @@ func (r *Router) switchAllocate() {
 		r.Cfg.Meter.Xbar(n)
 		r.Cfg.Meter.SAArb(n)
 		r.PC.SAGrants.Inc()
-		if r.OnSwitch != nil {
-			r.OnSwitch(r.now, f, v.port, p)
-		}
-		if r.OnCkFlit != nil {
-			r.OnCkFlit(r.now, f, v.port, p, v.outVC)
+		for _, o := range r.Observers {
+			o.Switch(r.now, f, v.port, p, v.outVC)
 		}
 		op.credits[v.outVC]--
 		op.busyUntil = r.now + uint64(op.serializeCy)
@@ -404,8 +400,8 @@ func (r *Router) vcAllocate() {
 			v.outVC = ovc
 			v.stage = stActive
 			r.Cfg.Meter.VCAArb()
-			if r.OnVCAlloc != nil {
-				r.OnVCAlloc(r.now, v.front().Pkt, v.outPort, ovc)
+			for _, o := range r.Observers {
+				o.VCAlloc(r.now, v.front().Pkt, v.outPort, ovc)
 			}
 			break
 		}
@@ -435,11 +431,8 @@ func (r *Router) routeCompute() {
 		v.outPort = outPort
 		v.vcMask = mask
 		v.stage = stWaitVCA
-		if r.OnRoute != nil {
-			r.OnRoute(r.now, f.Pkt, v.port, outPort)
-		}
-		if r.OnCkRoute != nil {
-			r.OnCkRoute(r.now, f.Pkt, v.port, outPort, mask)
+		for _, o := range r.Observers {
+			o.Route(r.now, f.Pkt, v.port, outPort, mask)
 		}
 	}
 }
@@ -523,9 +516,3 @@ func (r *Router) BufferedFlits() int {
 // BufferedHighWater returns the all-time peak of simultaneously
 // buffered flits, for queue-occupancy diagnostics.
 func (r *Router) BufferedHighWater() int { return r.bufHighWater }
-
-// InputConnected reports whether input port p has been connected.
-func (r *Router) InputConnected(p int) bool { return r.in[p] != nil }
-
-// OutputConnected reports whether output port p has been connected.
-func (r *Router) OutputConnected(p int) bool { return r.out[p] != nil }

@@ -7,6 +7,17 @@ import (
 	"ownsim/internal/sim"
 )
 
+// SinkObserver receives a sink's delivery events. Like every component
+// observer it only records (see RouterObserver).
+type SinkObserver interface {
+	// Receive fires for every delivered flit, before its credit is
+	// returned.
+	Receive(cycle uint64, f *noc.Flit)
+	// Eject fires when a packet's tail arrives, after OnPacket and
+	// before the packet is recycled.
+	Eject(cycle uint64, p *noc.Packet)
+}
+
 // Sink is the ejection endpoint of one core. It implements
 // noc.FlitReceiver; the channel feeding it supplies credits through the
 // usual CreditReturner path, which the sink releases immediately (ejection
@@ -17,15 +28,10 @@ type Sink struct {
 	// OnPacket is invoked when a packet's tail flit arrives, with the
 	// ejection cycle. The statistics collector hooks in here.
 	OnPacket func(p *noc.Packet, cycle uint64)
-	// OnEject is the probe observer for completed packets, kept
-	// separate from OnPacket (which the statistics collector owns).
-	// fabric.Network.InstallProbe wires it; nil disables.
-	OnEject func(p *noc.Packet, cycle uint64)
-	// OnCkFlit is the conformance checker's observer
-	// (fabric.Network.InstallChecker wires it; nil disables): it fires
-	// for every delivered flit before the credit is returned, closing
-	// the checker's conservation ledger on the tail flit.
-	OnCkFlit func(cycle uint64, f *noc.Flit)
+	// Observers see the delivery events in install order, kept
+	// separate from OnPacket (which the statistics collector owns);
+	// empty disables.
+	Observers []SinkObserver
 
 	upstream noc.CreditReturner
 	eng      *sim.Engine
@@ -74,8 +80,8 @@ func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 		panic(fmt.Sprintf("router: sink %d: packet %d flit out of order: seq %d, want %d", s.CoreID, p.ID, f.Seq, want))
 	}
 	s.expected[p.ID] = f.Seq + 1
-	if s.OnCkFlit != nil {
-		s.OnCkFlit(s.clock(), f)
+	for _, o := range s.Observers {
+		o.Receive(s.clock(), f)
 	}
 	// Ejection buffer drains immediately; return the credit.
 	if s.upstream != nil {
@@ -89,11 +95,11 @@ func (s *Sink) ReceiveFlit(_ int, f *noc.Flit) {
 		if s.OnPacket != nil {
 			s.OnPacket(p, now)
 		}
-		if s.OnEject != nil {
-			s.OnEject(p, now)
+		for _, o := range s.Observers {
+			o.Eject(now, p)
 		}
 		// The tail is the last flit of the packet to be consumed
-		// (in-order per-VC delivery), so the lifetime ends here; hooks
+		// (in-order per-VC delivery), so the lifetime ends here; observers
 		// above must not have retained the packet (see noc.Pool).
 		noc.Recycle(p)
 	}

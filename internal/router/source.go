@@ -37,6 +37,17 @@ type PoolUser interface {
 // discipline from the very first hop.
 type VCPolicy func(p *noc.Packet) uint32
 
+// SourceObserver receives a source's per-packet events. Like every
+// component observer it only records (see RouterObserver).
+type SourceObserver interface {
+	// Enqueue fires when a packet is admitted to the source queue.
+	Enqueue(cycle uint64, p *noc.Packet)
+	// Inject fires when a packet's head flit leaves the queue.
+	Inject(cycle uint64, p *noc.Packet)
+	// Send fires for every flit the source sends into the network.
+	Send(cycle uint64, f *noc.Flit)
+}
+
 // Source is the network interface of one core: it queues generated
 // packets and injects their flits into a router input port through a
 // conduit, subject to downstream credits. Injection bandwidth is one flit
@@ -55,18 +66,10 @@ type Source struct {
 	// OnAccepted is invoked for every packet admitted to the source
 	// queue; the statistics collector hooks in here.
 	OnAccepted func(p *noc.Packet)
-	// OnEnqueue and OnInject are optional probe observers, kept
-	// separate from OnAccepted (which the statistics collector owns):
-	// OnEnqueue fires when a packet is admitted to the source queue,
-	// OnInject when its head flit leaves the queue for the network.
-	// fabric.Network.InstallProbe wires them; nil disables.
-	OnEnqueue func(p *noc.Packet, cycle uint64)
-	OnInject  func(p *noc.Packet, cycle uint64)
-	// OnCkFlit is the conformance checker's observer
-	// (fabric.Network.InstallChecker wires it; nil disables): it fires
-	// for every flit the source sends into the network, opening the
-	// checker's per-packet conservation ledger on the head flit.
-	OnCkFlit func(cycle uint64, f *noc.Flit)
+	// Observers see the packet lifecycle events in install order, kept
+	// separate from OnAccepted (which the statistics collector owns);
+	// empty disables.
+	Observers []SourceObserver
 	// NoPool, when set before SetGenerator, keeps pooling-aware
 	// generators off this source's freelist so every packet is freshly
 	// allocated. The conformance oracle's reference mode sets it; results
@@ -173,8 +176,8 @@ func (s *Source) Tick(cycle uint64) {
 				if s.OnAccepted != nil {
 					s.OnAccepted(p)
 				}
-				if s.OnEnqueue != nil {
-					s.OnEnqueue(p, cycle)
+				for _, o := range s.Observers {
+					o.Enqueue(cycle, p)
 				}
 			}
 		}
@@ -190,8 +193,8 @@ func (s *Source) Tick(cycle uint64) {
 			s.curVC = vc
 			p.InjectedAt = cycle
 			s.Injected++
-			if s.OnInject != nil {
-				s.OnInject(p, cycle)
+			for _, o := range s.Observers {
+				o.Inject(cycle, p)
 			}
 		}
 	}
@@ -200,8 +203,8 @@ func (s *Source) Tick(cycle uint64) {
 		f := s.inflight[s.nextFlit]
 		f.VC = s.curVC
 		s.credits[s.curVC]--
-		if s.OnCkFlit != nil {
-			s.OnCkFlit(cycle, f)
+		for _, o := range s.Observers {
+			o.Send(cycle, f)
 		}
 		s.out.Send(f)
 		s.nextFlit++

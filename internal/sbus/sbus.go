@@ -21,6 +21,26 @@ import (
 	"ownsim/internal/sim"
 )
 
+// Observer receives a channel's per-packet and per-flit events.
+// fabric.Network's installers attach the probe's tracer/span adapter,
+// the flight recorder's stall feed and the conformance checker's
+// monitor; observers only record and must not retain the packet or flit
+// past the call (see noc.Pool).
+type Observer interface {
+	// Acquire fires when the channel locks onto a packet: writer is the
+	// winning writer index, rx the selected receiver and tokenCostCy the
+	// token-passing cost paid for the acquisition.
+	Acquire(cycle uint64, p *noc.Packet, writer, rx, tokenCostCy int)
+	// Release fires when the tail flit frees the whole-packet lock.
+	Release(cycle uint64, p *noc.Packet, writer int)
+	// Transmit fires per serialized flit, after OnTransmit (which energy
+	// accounting owns and which carries no timestamp).
+	Transmit(cycle uint64, f *noc.Flit, rx int)
+	// Deliver fires when a flit lands in receiver rx's input buffer (the
+	// only observation point for delivery-side FIFO order).
+	Deliver(cycle uint64, f *noc.Flit, rx int)
+}
+
 // Channel is one shared medium.
 type Channel struct {
 	// Name aids debugging ("cluster2/home5", "wl A0->B2", ...).
@@ -45,27 +65,9 @@ type Channel struct {
 	// and unclassified media. Latency attribution keys transit phases
 	// off it.
 	Class string
-	// OnAcquire, OnRelease and OnFlitTx are optional probe observers
-	// (fabric.Network.InstallProbe wires them; nil disables):
-	// OnAcquire fires when the channel locks onto a packet, with the
-	// token-passing cost in cycles paid for the acquisition; OnRelease
-	// fires when the tail flit frees the lock; OnFlitTx fires per
-	// serialized flit with the simulated cycle (unlike OnTransmit,
-	// which energy accounting owns and which carries no timestamp).
-	OnAcquire func(cycle uint64, p *noc.Packet, tokenCostCy int)
-	OnRelease func(cycle uint64, p *noc.Packet)
-	OnFlitTx  func(cycle uint64, f *noc.Flit, rx int)
-	// OnCkAcquire, OnCkRelease and OnCkDeliver are the conformance
-	// checker's observers (fabric.Network.InstallChecker wires them; nil
-	// disables). They are deliberately separate fields from the probe
-	// hooks so checker and probe coexist: OnCkAcquire fires at every
-	// token grant with the winning writer index and selected receiver,
-	// OnCkRelease fires when the tail flit frees the whole-packet lock,
-	// and OnCkDeliver fires when a flit lands in receiver rx's input
-	// buffer (the only observation point for delivery-side FIFO order).
-	OnCkAcquire func(cycle uint64, p *noc.Packet, writer, rx int)
-	OnCkRelease func(cycle uint64, p *noc.Packet, writer int)
-	OnCkDeliver func(cycle uint64, f *noc.Flit, rx int)
+	// Observers see the arbitration and transmission events in install
+	// order; empty (the default) costs one branch per event site.
+	Observers []Observer
 
 	writers []*Writer
 	rxs     []*Rx
@@ -246,8 +248,8 @@ func (c *Channel) tick(cycle uint64) {
 			break
 		}
 		c.inflight.pop()
-		if c.OnCkDeliver != nil {
-			c.OnCkDeliver(cycle, fl.f, fl.rx)
+		for _, o := range c.Observers {
+			o.Deliver(cycle, fl.f, fl.rx)
 		}
 		c.rxs[fl.rx].dst.ReceiveFlit(c.rxs[fl.rx].dstPort, fl.f)
 	}
@@ -317,8 +319,8 @@ func (c *Channel) transmitLocked(cycle uint64) {
 	if c.OnTransmit != nil {
 		c.OnTransmit(f, c.lockedRx)
 	}
-	if c.OnFlitTx != nil {
-		c.OnFlitTx(cycle, f, c.lockedRx)
+	for _, o := range c.Observers {
+		o.Transmit(cycle, f, c.lockedRx)
 	}
 	if f.IsTail() {
 		c.lockedW = -1
@@ -328,11 +330,8 @@ func (c *Channel) transmitLocked(cycle uint64) {
 			c.waiting[w.idx] = true
 			c.waitSince[w.idx] = cycle
 		}
-		if c.OnRelease != nil {
-			c.OnRelease(cycle, f.Pkt)
-		}
-		if c.OnCkRelease != nil {
-			c.OnCkRelease(cycle, f.Pkt, w.idx)
+		for _, o := range c.Observers {
+			o.Release(cycle, f.Pkt, w.idx)
 		}
 	}
 }
@@ -376,11 +375,8 @@ func (c *Channel) acquire(cycle uint64) {
 			}
 			c.waiting[wi] = false
 		}
-		if c.OnAcquire != nil {
-			c.OnAcquire(cycle, f.Pkt, d*c.TokenHopCy)
-		}
-		if c.OnCkAcquire != nil {
-			c.OnCkAcquire(cycle, f.Pkt, wi, rxIdx)
+		for _, o := range c.Observers {
+			o.Acquire(cycle, f.Pkt, wi, rxIdx, d*c.TokenHopCy)
 		}
 		return
 	}
