@@ -41,9 +41,11 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # smoke exercises the observability path end to end: a short traced
-# single run, an instrumented sweep, and a live-telemetry run whose
-# /metrics endpoint is scraped mid-flight (obscheck -scrape, no curl
-# needed) with required scheduler/pool series, whose pprof endpoint
+# single run, an instrumented sweep whose re-run emits every artifact
+# kind (so both CLIs drive the shared obs session through each
+# emitter), and a live-telemetry run whose /metrics endpoint is scraped
+# mid-flight (obscheck -scrape, no curl needed) with required
+# scheduler/pool series, whose pprof endpoint
 # serves a cpu profile sample and whose /debug/dump endpoint serves a
 # mid-flight flight-recorder state dump, then cmd/obscheck verifies
 # that every emitted artifact (metrics CSV/NDJSON, trace JSON/NDJSON,
@@ -64,6 +66,8 @@ smoke:
 	$(GO) run ./cmd/sweep -topo own -cores 256 -points 2 -warmup 200 -measure 800 \
 		-metrics $$dir/sweep.ndjson -trace $$dir/sweep-trace.ndjson -sample 4 \
 		-latency-breakdown $$dir/sweep-breakdown \
+		-energy $$dir/sweep-energy.csv -heatmap $$dir/sweep-heat \
+		-fairness $$dir/sweep-fair -dump-on-exit $$dir/sweep-dump \
 		-manifest $$dir/sweep-manifest.json >/dev/null 2>&1; \
 	$(GO) run ./cmd/ownsim -cores 256 -warmup 200 -measure 600000 -seed 1 \
 		-listen 127.0.0.1:0 -pprof -energy $$dir/energy.csv -heatmap $$dir/heat \
@@ -91,7 +95,11 @@ smoke:
 		$$dir/sweep-breakdown.csv $$dir/sweep-breakdown.ndjson $$dir/sweep-breakdown.svg \
 		$$dir/live-breakdown.csv $$dir/live-breakdown.ndjson $$dir/live-breakdown.svg \
 		$$dir/fair_tiles.csv $$dir/fair_jain.csv $$dir/fair_heatmap.svg \
-		$$dir/dump.ndjson $$dir/dump-live.ndjson
+		$$dir/dump.ndjson $$dir/dump-live.ndjson \
+		$$dir/sweep-energy.csv $$dir/sweep-heat_congestion.csv $$dir/sweep-heat_congestion.svg \
+		$$dir/sweep-heat_energy.csv $$dir/sweep-heat_energy.svg \
+		$$dir/sweep-fair_tiles.csv $$dir/sweep-fair_jain.csv $$dir/sweep-fair_heatmap.svg \
+		$$dir/sweep-dump.ndjson
 
 # check runs the conformance subsystem (internal/check): the quick
 # go-test harness (invariant checker, differential reference oracle,

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,23 +19,25 @@ import (
 	"ownsim/internal/wireless"
 )
 
-// flightRun repeats the golden fixed-seed configuration with the flight
-// recorder installed ahead of a span-tracking, sampling probe — the full
-// diagnostics stack cmd/ownsim wires for -fairness/-dump-on-exit runs.
-func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Network, *flightrec.FlightRecorder) {
+// flightRun repeats the golden fixed-seed configuration through the
+// obs.Session cmd/ownsim uses for -fairness/-dump-on-exit runs: the
+// flight recorder installed ahead of a span-tracking, sampling probe.
+// The fairness and dump artifacts go under a fresh temp dir on Emit.
+func flightRun(t *testing.T, cores int, rate float64) (fabric.Result, *fabric.Network, *obs.Session) {
 	t.Helper()
 	sys := NewSystem("own", cores, wireless.Config4, wireless.Ideal)
 	n := sys.Build(power.NewMeter(nil))
-	fr := flightrec.New(flightrec.Options{})
-	n.InstallFlightRecorder(fr)
-	p := probe.New(probe.Options{Spans: true, MetricsEvery: 256})
-	n.InstallProbe(p)
-	res := n.Run(
-		fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: 77, Policy: sys.Policy, Classify: sys.Classify},
-		fabric.RunSpec{Warmup: 500, Measure: 2500},
-	)
-	fr.Dog.Finish(n.Eng.Cycle())
-	return res, n, fr
+	dir := t.TempDir()
+	s, err := obs.Open(n, &obs.Options{
+		Warmup: 500, Measure: 2500, Sample: 1, Window: 256,
+		Fairness: filepath.Join(dir, "fair"), DumpOnExit: filepath.Join(dir, "dump"),
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	res := s.Run(fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: rate, Seed: 77, Policy: sys.Policy, Classify: sys.Classify})
+	return res, n, s
 }
 
 // TestFlightRecorderInertOWN256 pins the diagnostics bargain: installing
@@ -52,7 +56,8 @@ func TestFlightRecorderInertOWN256(t *testing.T) {
 // total cycle for cycle.
 func TestTokenWaitReconciliation(t *testing.T) {
 	check := func(cores int, rate float64) {
-		_, n, fr := flightRun(t, cores, rate)
+		_, n, _ := flightRun(t, cores, rate)
+		fr := n.FlightRec
 		sp := n.Probe.Spans()
 		if sp == nil {
 			t.Fatal("span tracker not installed")
@@ -86,7 +91,8 @@ func TestTokenWaitReconciliation(t *testing.T) {
 // sampler's windows, names aligned with the registry, with the token and
 // stall gauges registered behind the established columns.
 func TestFlightRecorderRingFollowsSampler(t *testing.T) {
-	_, n, fr := flightRun(t, 256, 0.004)
+	_, n, _ := flightRun(t, 256, 0.004)
+	fr := n.FlightRec
 	if fr.Rec.Total() == 0 {
 		t.Fatal("ring recorder observed no sampler windows")
 	}
@@ -125,7 +131,6 @@ func TestFlightRecorderRingFollowsSampler(t *testing.T) {
 	if trips := fr.Dog.Trips(); trips != 0 {
 		t.Errorf("watchdog tripped %d times on the golden run: %v", trips, fr.Dog.TripReasons())
 	}
-	_ = n
 }
 
 // TestFairnessArtifactsByteStableAcrossGOMAXPROCS renders the fairness
@@ -135,29 +140,26 @@ func TestFairnessArtifactsByteStableAcrossGOMAXPROCS(t *testing.T) {
 	render := func(procs int) map[string][]byte {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		_, n, _ := flightRun(t, 256, 0.004)
-		dir := t.TempDir()
-		files, err := obs.EmitFairness(n, filepath.Join(dir, "fair"), nil)
-		if err != nil {
+		_, _, s := flightRun(t, 256, 0.004)
+		man := &probe.Manifest{}
+		if err := s.Emit(man); err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != 3 {
-			t.Fatalf("EmitFairness returned %v, want tiles+jain+heatmap", files)
+		var names []string
+		for _, a := range man.Artifacts {
+			names = append(names, a.Name)
 		}
-		dumps, err := obs.EmitDump(n, filepath.Join(dir, "dump"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dumps) != 2 {
-			t.Fatalf("EmitDump returned %v, want ndjson+text", dumps)
+		want := []string{"token_fairness_tiles", "token_fairness_jain", "token_fairness_heatmap", "state_dump", "state_dump_text"}
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("emitted %v, want fairness tiles+jain+heatmap and dump ndjson+text", names)
 		}
 		arts := make(map[string][]byte)
-		for _, path := range append(files, dumps...) {
-			raw, err := os.ReadFile(path)
+		for _, a := range man.Artifacts {
+			raw, err := os.ReadFile(a.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			arts[filepath.Base(path)] = raw
+			arts[filepath.Base(a.Path)] = raw
 		}
 		return arts
 	}

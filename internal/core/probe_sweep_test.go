@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,18 +20,21 @@ import (
 	"ownsim/internal/wireless"
 )
 
-// TestInstrumentedSweepArtifactsAcrossGOMAXPROCS mirrors cmd/sweep's
+// TestInstrumentedSweepArtifactsAcrossGOMAXPROCS drives cmd/sweep's
 // observability path end to end: a parallel sweep with a progress
-// callback, followed by a single-threaded instrumented re-run of the
-// highest-load point. Every exported artifact — the curve itself, the
-// metrics CSV, the Chrome trace, the energy attribution CSV, the heatmaps
-// and the manifest — must be byte-identical whether the sweep's worker
-// pool ran on 1 or 4 procs; host parallelism may only change how fast the
-// answer arrives, never the answer.
+// callback, followed by an obs.Session re-run of the highest-load point.
+// Every exported artifact — the curve itself, the metrics CSV, the
+// Chrome trace, the energy attribution CSV, the heatmaps and the
+// manifest — must be byte-identical whether the sweep's worker pool ran
+// on 1 or 4 procs; host parallelism may only change how fast the answer
+// arrives, never the answer.
 func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 	sys := NewSystem("own", 256, wireless.Config4, wireless.Ideal)
 	loads := SweepLoads(256, 2)
 	b := Budget{Warmup: 200, Measure: 800, Loads: 2, Seed: 7}
+	// Both renders write the same paths, so their manifests can match.
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
 
 	render := func(procs int) (string, map[string][]byte, []byte) {
 		old := runtime.GOMAXPROCS(procs)
@@ -46,48 +51,6 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatalf("progress callback fired %d times, want %d", done, len(loads))
 		}
 
-		// Instrumented re-run of the highest-load point, seeded exactly
-		// like the sweep seeded it, with the probe installed.
-		last := len(loads) - 1
-		n := sys.Build(power.NewMeter(nil))
-		p := probe.New(probe.Options{MetricsEvery: 128, TraceEvery: 64})
-		n.InstallProbe(p)
-		n.Run(
-			fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: loads[last], Seed: b.Seed + uint64(last), Policy: sys.Policy, Classify: sys.Classify},
-			fabric.RunSpec{Warmup: b.Warmup, Measure: b.Measure},
-		)
-
-		var metrics, trace, manifest bytes.Buffer
-		if err := p.Sampler().WriteCSV(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Tracer().WriteChrome(&trace); err != nil {
-			t.Fatal(err)
-		}
-
-		// The observability artifacts go through the real emission path
-		// (a scratch dir on disk), then into the manifest under fixed
-		// logical names so both renders produce identical manifests.
-		dir := t.TempDir()
-		if err := obs.EmitEnergyCSV(n, filepath.Join(dir, "energy.csv"), nil); err != nil {
-			t.Fatal(err)
-		}
-		files, err := obs.EmitHeatmaps(n, filepath.Join(dir, "hm"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) != 4 {
-			t.Fatalf("heatmap files = %v, want congestion + wireless energy pairs", files)
-		}
-		arts := map[string][]byte{"metrics.csv": metrics.Bytes(), "trace.json": trace.Bytes()}
-		for _, path := range append(files, filepath.Join(dir, "energy.csv")) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arts[filepath.Base(path)] = raw
-		}
-
 		man := &probe.Manifest{Tool: "sweep-test", Config: map[string]string{"sys": sys.Name}, Cores: sys.Cores, Seed: b.Seed}
 		for i, pt := range pts {
 			man.Points = append(man.Points, probe.Point{
@@ -95,9 +58,47 @@ func TestInstrumentedSweepArtifactsAcrossGOMAXPROCS(t *testing.T) {
 				Throughput: pt.Throughput, Saturated: pt.Saturated,
 			})
 		}
-		man.AddArtifact("metrics", "metrics.csv", metrics.Bytes())
-		man.AddArtifact("trace", "trace.json", trace.Bytes())
-		man.AddArtifact("energy", "energy.csv", arts["energy.csv"])
+
+		// Re-run of the highest-load point, seeded exactly like the
+		// sweep seeded it, through the session cmd/sweep uses.
+		o := &obs.Options{
+			Cores: 256, Pattern: traffic.Uniform, Warmup: b.Warmup, Measure: b.Measure, Seed: b.Seed,
+			Sample: 64, Window: 128,
+			Metrics: at("metrics.csv"), Trace: at("trace.json"), Energy: at("energy.csv"), Heatmap: at("hm"),
+		}
+		s, err := obs.Open(sys.Build(power.NewMeter(nil)), o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		last := len(loads) - 1
+		res := s.Run(fabric.TrafficSpec{Pattern: traffic.Uniform, Rate: loads[last], Seed: b.Seed + uint64(last), Policy: sys.Policy, Classify: sys.Classify})
+		if res.Summary.Throughput != pts[last].Throughput {
+			t.Fatalf("re-run throughput %v != sweep point %v", res.Summary.Throughput, pts[last].Throughput)
+		}
+		if err := s.Emit(man); err != nil {
+			t.Fatal(err)
+		}
+
+		var want []string
+		for _, name := range []string{"metrics.csv", "trace.json", "energy.csv", "hm_congestion.csv", "hm_congestion.svg", "hm_energy.csv", "hm_energy.svg"} {
+			want = append(want, at(name))
+		}
+		var got []string
+		arts := map[string][]byte{}
+		for _, a := range man.Artifacts {
+			got = append(got, a.Path)
+			raw, err := os.ReadFile(a.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arts[filepath.Base(a.Path)] = raw
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("artifacts = %v, want metrics, trace, energy, congestion + wireless energy heatmap pairs %v", got, want)
+		}
+
+		var manifest bytes.Buffer
 		if err := man.WriteJSON(&manifest); err != nil {
 			t.Fatal(err)
 		}

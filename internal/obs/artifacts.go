@@ -1,20 +1,20 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
-	"os"
+	"io"
 
 	"ownsim/internal/fabric"
 	"ownsim/internal/plot"
 	"ownsim/internal/probe"
 )
 
-// Artifact emission for the observability flags shared by cmd/ownsim and
-// cmd/sweep: the per-component energy attribution CSV and the
-// congestion/energy heatmaps. Every file is built in memory first so the
-// manifest can digest exactly the bytes written; content depends only on
-// simulation state, never on the live telemetry server.
+// Artifact emission behind Session.Emit: the per-component energy
+// attribution CSV, the congestion/energy heatmaps, the latency
+// breakdown, the token-fairness set and the state dump. Every file goes
+// through one probe.ArtifactWriter, which builds it in memory first so
+// the manifest digests exactly the bytes written; content depends only
+// on simulation state, never on the live telemetry server.
 
 // EmitEnergyCSV writes the network's per-component energy attribution
 // (power.Meter.WriteEnergyCSV over the simulated cycles) to path and
@@ -23,11 +23,9 @@ func EmitEnergyCSV(n *fabric.Network, path string, man *probe.Manifest) error {
 	if n.Meter == nil {
 		return fmt.Errorf("obs: energy attribution requested but the network has no power meter")
 	}
-	var buf bytes.Buffer
-	if err := n.Meter.WriteEnergyCSV(&buf, n.Eng.Cycle()); err != nil {
-		return err
-	}
-	return writeArtifact("energy", path, buf.Bytes(), man)
+	a := probe.ArtifactWriter{Man: man}
+	a.Render("energy", path, func(w io.Writer) error { return n.Meter.WriteEnergyCSV(w, n.Eng.Cycle()) })
+	return a.Err
 }
 
 // EmitHeatmaps writes the heatmap artifacts with the given path prefix
@@ -39,34 +37,18 @@ func EmitEnergyCSV(n *fabric.Network, path string, man *probe.Manifest) error {
 //	    labelled with the channel's link-distance class (skipped when the
 //	    network has no wireless channels).
 func EmitHeatmaps(n *fabric.Network, prefix string, man *probe.Manifest) ([]string, error) {
-	var written []string
-	emit := func(name, path string, content []byte) error {
-		if err := writeArtifact(name, path, content, man); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-
+	a := probe.ArtifactWriter{Man: man}
 	congestion := &plot.Heatmap{
 		Title:  fmt.Sprintf("%s: router congestion (credit+busy stalls)", n.Name),
 		Labels: n.RouterLabels(),
 		Values: n.CongestionValues(),
 	}
-	var buf bytes.Buffer
-	if err := congestion.WriteCSV(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("congestion_heatmap", prefix+"_congestion.csv", buf.Bytes()); err != nil {
-		return written, err
-	}
-	if err := emit("congestion_heatmap_svg", prefix+"_congestion.svg", []byte(congestion.SVG())); err != nil {
-		return written, err
-	}
+	a.Render("congestion_heatmap", prefix+"_congestion.csv", congestion.WriteCSV)
+	a.Write("congestion_heatmap_svg", prefix+"_congestion.svg", []byte(congestion.SVG()))
 
 	m := n.Meter
 	if m == nil || len(m.WirelessChanPJ) == 0 {
-		return written, nil
+		return a.Written, a.Err
 	}
 	labels := make([]string, len(m.WirelessChanPJ))
 	values := make([]float64, len(m.WirelessChanPJ))
@@ -83,17 +65,9 @@ func EmitHeatmaps(n *fabric.Network, prefix string, man *probe.Manifest) ([]stri
 		Labels: labels,
 		Values: values,
 	}
-	buf.Reset()
-	if err := energy.WriteCSV(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("energy_heatmap", prefix+"_energy.csv", buf.Bytes()); err != nil {
-		return written, err
-	}
-	if err := emit("energy_heatmap_svg", prefix+"_energy.svg", []byte(energy.SVG())); err != nil {
-		return written, err
-	}
-	return written, nil
+	a.Render("energy_heatmap", prefix+"_energy.csv", energy.WriteCSV)
+	a.Write("energy_heatmap_svg", prefix+"_energy.svg", []byte(energy.SVG()))
+	return a.Written, a.Err
 }
 
 // EmitLatencyBreakdown writes the latency-attribution artifacts with
@@ -110,29 +84,9 @@ func EmitLatencyBreakdown(n *fabric.Network, prefix string, man *probe.Manifest)
 	if sp == nil {
 		return nil, fmt.Errorf("obs: latency breakdown requested but span decomposition is not enabled")
 	}
-	var written []string
-	emit := func(name, path string, content []byte) error {
-		if err := writeArtifact(name, path, content, man); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-
-	var buf bytes.Buffer
-	if err := sp.WriteCSV(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("latency_breakdown", prefix+".csv", buf.Bytes()); err != nil {
-		return written, err
-	}
-	buf.Reset()
-	if err := sp.WriteNDJSON(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("latency_breakdown_ndjson", prefix+".ndjson", buf.Bytes()); err != nil {
-		return written, err
-	}
+	a := probe.ArtifactWriter{Man: man}
+	a.Render("latency_breakdown", prefix+".csv", sp.WriteCSV)
+	a.Render("latency_breakdown_ndjson", prefix+".ndjson", sp.WriteNDJSON)
 
 	labels := make([]string, probe.NumSpanPhases)
 	values := make([]float64, probe.NumSpanPhases)
@@ -145,10 +99,8 @@ func EmitLatencyBreakdown(n *fabric.Network, prefix string, man *probe.Manifest)
 		Labels: labels,
 		Values: values,
 	}
-	if err := emit("latency_breakdown_svg", prefix+".svg", []byte(bar.SVG())); err != nil {
-		return written, err
-	}
-	return written, nil
+	a.Write("latency_breakdown_svg", prefix+".svg", []byte(bar.SVG()))
+	return a.Written, a.Err
 }
 
 // EmitFairness writes the token-fairness artifacts with the given path
@@ -168,38 +120,16 @@ func EmitFairness(n *fabric.Network, prefix string, man *probe.Manifest) ([]stri
 		return nil, fmt.Errorf("obs: token-fairness artifacts requested but no flight recorder is installed")
 	}
 	st := n.FlightRec.Stall
-	var written []string
-	emit := func(name, path string, content []byte) error {
-		if err := writeArtifact(name, path, content, man); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-
-	var buf bytes.Buffer
-	if err := st.WriteTileCSV(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("token_fairness_tiles", prefix+"_tiles.csv", buf.Bytes()); err != nil {
-		return written, err
-	}
-	buf.Reset()
-	if err := st.WriteJainCSV(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("token_fairness_jain", prefix+"_jain.csv", buf.Bytes()); err != nil {
-		return written, err
-	}
+	a := probe.ArtifactWriter{Man: man}
+	a.Render("token_fairness_tiles", prefix+"_tiles.csv", st.WriteTileCSV)
+	a.Render("token_fairness_jain", prefix+"_jain.csv", st.WriteJainCSV)
 	hm := &plot.Heatmap{
 		Title:  fmt.Sprintf("%s: per-tile token wait (cy)", n.Name),
 		Labels: st.TileLabels(),
 		Values: st.TileWaitValues(),
 	}
-	if err := emit("token_fairness_heatmap", prefix+"_heatmap.svg", []byte(hm.SVG())); err != nil {
-		return written, err
-	}
-	return written, nil
+	a.Write("token_fairness_heatmap", prefix+"_heatmap.svg", []byte(hm.SVG()))
+	return a.Written, a.Err
 }
 
 // EmitDump writes the end-of-run state dump with the given path prefix
@@ -210,38 +140,8 @@ func EmitDump(n *fabric.Network, prefix string, man *probe.Manifest) ([]string, 
 		return nil, fmt.Errorf("obs: state dump requested but no flight recorder is installed")
 	}
 	snap := n.Snapshot("exit")
-	var written []string
-	emit := func(name, path string, content []byte) error {
-		if err := writeArtifact(name, path, content, man); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := snap.WriteNDJSON(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("state_dump", prefix+".ndjson", buf.Bytes()); err != nil {
-		return written, err
-	}
-	buf.Reset()
-	if err := snap.WriteText(&buf); err != nil {
-		return written, err
-	}
-	if err := emit("state_dump_text", prefix+".txt", buf.Bytes()); err != nil {
-		return written, err
-	}
-	return written, nil
-}
-
-// writeArtifact writes content to path and digests it into the manifest.
-func writeArtifact(name, path string, content []byte, man *probe.Manifest) error {
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		return err
-	}
-	if man != nil {
-		man.AddArtifact(name, path, content)
-	}
-	return nil
+	a := probe.ArtifactWriter{Man: man}
+	a.Render("state_dump", prefix+".ndjson", snap.WriteNDJSON)
+	a.Render("state_dump_text", prefix+".txt", snap.WriteText)
+	return a.Written, a.Err
 }

@@ -137,6 +137,14 @@ func TestEventsTwoConcurrentScrapers(t *testing.T) {
 		defer resp.Body.Close()
 		readers[i] = bufio.NewReader(resp.Body)
 	}
+	// Each handler subscribes before its headers go out, so every client
+	// is registered once its request has returned.
+	s.mu.Lock()
+	nsubs := len(s.subs)
+	s.mu.Unlock()
+	if nsubs != clients {
+		t.Fatalf("%d subscribers registered after %d requests returned", nsubs, clients)
+	}
 
 	for i := 0; i < samples; i++ {
 		s.Publish(uint64(i+1)*10, []float64{float64(i), 0, 0})

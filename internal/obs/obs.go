@@ -10,6 +10,11 @@
 // — the determinism tests assert byte-identical summaries and manifests
 // with the server on and off.
 //
+// The package also holds the one instrumented-run path of cmd/ownsim and
+// cmd/sweep: Bind declares their shared flags, and a Session installs
+// the layers those flags need, runs, and emits every artifact
+// (session.go, artifacts.go).
+//
 // The package is inside ownlint's deterministic scope: it uses no wall
 // clock, no global RNG and no environment reads; all timestamps in
 // served payloads are simulated cycles. (net/http keeps its own internal
@@ -284,15 +289,8 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 // first (if any), then every new one as it is published, until the
 // client disconnects or the server closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Flush the headers immediately so a client that connects before the
-	// first sample still sees the stream open instead of blocking.
-	w.WriteHeader(http.StatusOK)
-	if fl != nil {
-		fl.Flush()
-	}
-
+	// Subscribe before the headers go out: a client whose request has
+	// returned must not miss a sample published right after.
 	ch := make(chan string, 64)
 	s.mu.Lock()
 	id := s.nextSub
@@ -310,6 +308,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 	}()
+
+	fl, _ := w.(http.Flusher)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Flush the headers immediately so a client that connects before the
+	// first sample still sees the stream open instead of blocking.
+	w.WriteHeader(http.StatusOK)
+	if fl != nil {
+		fl.Flush()
+	}
 
 	emit := func(line string) bool {
 		if _, err := fmt.Fprintln(w, line); err != nil {
